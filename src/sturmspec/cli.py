@@ -31,7 +31,6 @@ from .errors import InvalidInputError, SturmSpecError
 from .potentials import window_from_word
 from .spectrum import (
     band_samples,
-    intersect_intervals,
     measure_and_intersect,
     sturmian_band_spectrum,
     trace_bound_scan,
@@ -92,11 +91,14 @@ def _parse_levels(text):
     levels = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            lo, _, hi = token.partition("..")
-            levels.extend(range(int(lo), int(hi) + 1))
-        elif token:
-            levels.append(int(token))
+        try:
+            if ".." in token:
+                lo, _, hi = token.partition("..")
+                levels.extend(range(int(lo), int(hi) + 1))
+            elif token:
+                levels.append(int(token))
+        except ValueError:
+            raise InvalidInputError(f"bad level token {token!r} in {text!r}")
     if not levels:
         raise InvalidInputError(f"no levels in {text!r}")
     return levels
@@ -227,9 +229,7 @@ def _task_gordon(args):
     if args.energies.startswith("from-spectrum:"):
         proxy = int(args.energies.split(":", 1)[1])
         scan = trace_bound_scan(cf, args.coupling, level_max=proxy, proxy_level=proxy)
-        spec_a = sturmian_band_spectrum(cf, args.coupling, proxy)
-        spec_b = sturmian_band_spectrum(cf, args.coupling, proxy + 1)
-        energies = band_samples(intersect_intervals(spec_a.bands, spec_b.bands), 1)
+        energies = band_samples(scan.proxy_bands, 1)
         constant = {
             "value": scan.derived_constant(),
             "proxy_level": proxy,

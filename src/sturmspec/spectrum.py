@@ -2,8 +2,15 @@
 
 The spectrum of the period-q potential spelled by a word is
 {E : |tr M(E)| <= 2} with M(E) the transfer matrix over one period: exactly
-q disjoint closed bands.  Bands are located on an adaptive energy grid and
-their edges pinned by bisection of tr -+ 2.
+q disjoint closed bands.  By Floquet theory tr M(E) = +2 exactly at the
+eigenvalues of the q x q periodic Hamiltonian (diagonal V, nearest-neighbour
+entries 1, corner entries +1) and tr M(E) = -2 exactly at those of the
+antiperiodic one (corner entries -1).  The 2q eigenvalues, sorted together
+and taken in pairs, are the band edges.  A gap narrower than the closed-gap
+tolerance, which sits at the eigensolver's error scale, cannot be told from
+touching bands and is refused.  The dense eigensolver costs O(q^3) time and
+O(q^2) memory, which limits this route to periods of a few thousand; longer
+periods are refused (MAX_PERIOD).
 
 The almost sure spectrum itself has no finite description; throughout, the
 intersection of two consecutive approximant spectra serves as its proxy and
@@ -21,93 +28,33 @@ from .errors import InvalidInputError, ResolutionError
 from .sturmian import c_alpha_prefix, standard_words
 from .transfer import forward_lyapunov_batch, sturmian_transfer
 
-EDGE_TOL = 1e-12  # bisection width in E; keeps |tr| - 2 at edges ~ 1e-8 even for narrow bands
-_LOG_TWO = math.log(2.0)
+# Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
+# every eigenvalue within a small multiple of eps * ||H|| of the exact one,
+# and ||H|| <= 2 + max|V|.
+CLOSED_GAP_EPS = 64
+
+# Longest period the dense eigensolver is given: at the limit each q x q
+# matrix takes 200 MB.  Golden level 18 (q = 4181) takes about 9 s with a
+# 300 MB peak on a 2-vCPU Xeon with OpenBLAS; level 19 (q = 6765) would
+# need about 1 GB.
+MAX_PERIOD = 5000
 
 
 def _site_values(word, coupling):
     return [coupling * s for s in word.symbols]
 
 
-def _disc_log_grid(values, energies, rescale_every=64):
-    """(mantissa, log scale) of the period trace over an energy grid.
-
-    The trace is mantissa * exp(log_scale); working in log scale keeps deep
-    gap values finite for any period and coupling.
-    """
-    e = np.asarray(energies, dtype=float)
-    a = np.ones_like(e)
-    b = np.zeros_like(e)
-    c = np.zeros_like(e)
-    d = np.ones_like(e)
-    log_scale = np.zeros_like(e)
-    count = 0
-    for v in values:
-        x = e - v
-        a, c = x * a - c, a
-        b, d = x * b - d, b
-        count += 1
-        if count % rescale_every == 0:
-            s = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
-            a /= s
-            b /= s
-            c /= s
-            d /= s
-            log_scale += np.log(s)
-    return a + d, log_scale
-
-
-def _inside_grid(mantissa, log_scale):
-    """|trace| <= 2, elementwise in log scale (a zero mantissa is inside)."""
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(mantissa)) + log_scale <= _LOG_TWO
-
-
-def _disc_log_at(values, energy, rescale_every=64):
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    log_scale = 0.0
-    count = 0
-    for v in values:
-        x = energy - v
-        a, b, c, d = x * a - c, x * b - d, a, b
-        count += 1
-        if count % rescale_every == 0:
-            s = max(abs(a) + abs(b), abs(c) + abs(d))
-            a, b, c, d = a / s, b / s, c / s, d / s
-            log_scale += math.log(s)
-    return a + d, log_scale
-
-
-def _discriminant_at(values, energy):
-    """Plain trace of the period product (inf if it overflows)."""
-    mantissa, log_scale = _disc_log_at(values, energy)
-    try:
-        return mantissa * math.exp(log_scale)
-    except OverflowError:
-        return math.copysign(math.inf, mantissa)
-
-
-def _inside_at(values, energy):
-    mantissa, log_scale = _disc_log_at(values, energy)
-    if mantissa == 0.0:
-        return True
-    return math.log(abs(mantissa)) + log_scale <= _LOG_TWO
-
-
-def _bisect_edge(values, e_in, e_out, tol=EDGE_TOL):
-    """Band edge between an in-band and an out-of-band energy, found by
-    bisecting the membership predicate |tr| <= 2 (robust when a grid point
-    sits exactly on an edge)."""
-    e_in, e_out = float(e_in), float(e_out)
-    while abs(e_out - e_in) > tol:
-        mid = 0.5 * (e_in + e_out)
-        if mid == e_in or mid == e_out:
-            break
-        if _inside_at(values, mid):
-            e_in = mid
-        else:
-            e_out = mid
-    return 0.5 * (e_in + e_out)
+def _floquet_eigenvalues(values, corner):
+    """Eigenvalues of the periodic (corner=+1) or antiperiodic (corner=-1)
+    Hamiltonian of one period: tr M(E) = 2 * corner exactly at these E."""
+    h = np.diag(values)
+    i = np.arange(len(values) - 1)
+    h[i, i + 1] = h[i + 1, i] = 1.0
+    # the corner bond wraps the period; for q = 2 it adds to the hopping
+    # entries, and for q = 1 it lands twice on the diagonal: V_0 + 2 * corner
+    h[0, -1] += corner
+    h[-1, 0] += corner
+    return np.linalg.eigvalsh(h)
 
 
 @dataclass(frozen=True)
@@ -135,67 +82,38 @@ class BandSpectrum:
         ]
 
 
-def band_spectrum(
-    word,
-    coupling,
-    e_range=None,
-    level=None,
-    points_per_band=16,
-    max_refinements=3,
-    edge_tol=EDGE_TOL,
-):
+def band_spectrum(word, coupling, level=None):
     """Bands {E : |tr M(E)| <= 2} of the word taken as a periodic potential.
 
-    The grid starts at 16 points per expected band and refines x4 until the
-    period-many bands separate; if they never do, the failure is raised, not
-    truncated.
+    Edges are the periodic and antiperiodic eigenvalues (module docstring).
+    A gap within the closed-gap tolerance raises ResolutionError rather than
+    merging or dropping bands.
     """
     q = len(word)
     if q < 1:
         raise InvalidInputError("empty period word")
-    values = _site_values(word, coupling)
-    if e_range is None:
-        pad = 0.5
-        lo_e = -2.0 - abs(coupling) - pad
-        hi_e = 2.0 + abs(coupling) + pad
-    else:
-        lo_e, hi_e = float(e_range[0]), float(e_range[1])
-    n_points = points_per_band * q + 1
-    bands = []
-    for _ in range(max_refinements + 1):
-        grid = np.linspace(lo_e, hi_e, n_points)
-        mantissa, log_scale = _disc_log_grid(values, grid)
-        inside = _inside_grid(mantissa, log_scale)
-        if inside[0] or inside[-1]:
-            raise InvalidInputError("energy range must start and end outside all bands")
-        bands = []
-        clean = True
-        edge_open = None
-        for i in range(len(grid) - 1):
-            in0, in1 = inside[i], inside[i + 1]
-            if in0 == in1:
-                if not in0 and (mantissa[i] > 0.0) != (mantissa[i + 1] > 0.0):
-                    clean = False  # band fully inside one grid cell
-                continue
-            if in0:
-                edge = _bisect_edge(values, grid[i], grid[i + 1], edge_tol)
-            else:
-                edge = _bisect_edge(values, grid[i + 1], grid[i], edge_tol)
-            if not in0:
-                edge_open = edge
-            elif edge_open is not None:
-                bands.append((edge_open, edge))
-                edge_open = None
-            else:
-                clean = False
-        if clean and edge_open is None and len(bands) == q:
-            return BandSpectrum(
-                bands=tuple(bands), period=q, coupling=coupling, level=level
-            )
-        n_points = (n_points - 1) * 4 + 1
-    raise ResolutionError(
-        f"isolated {len(bands)} of {q} bands at the finest grid; "
-        f"bands may touch or be narrower than the resolution"
+    if not math.isfinite(coupling):
+        raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
+    where = f"level {level}, q={q}" if level is not None else f"q={q}"
+    if q > MAX_PERIOD:
+        raise ResolutionError(
+            f"{where}: period exceeds the dense eigensolver's limit of {MAX_PERIOD} "
+            f"(O(q^2) memory, O(q^3) time)"
+        )
+    values = np.array(_site_values(word, coupling), dtype=float)
+    edges = np.sort(
+        np.concatenate([_floquet_eigenvalues(values, 1.0), _floquet_eigenvalues(values, -1.0)])
+    )
+    lo, hi = edges[0::2], edges[1::2]
+    tol = CLOSED_GAP_EPS * np.finfo(float).eps * (2.0 + float(np.max(np.abs(values))))
+    gaps = lo[1:] - hi[:-1]
+    if gaps.size and gaps.min() <= tol:
+        raise ResolutionError(
+            f"{where}: bands touch within the closed-gap tolerance: "
+            f"smallest gap {gaps.min():.3g} <= {tol:.3g}"
+        )
+    return BandSpectrum(
+        bands=tuple(zip(lo.tolist(), hi.tolist())), period=q, coupling=coupling, level=level
     )
 
 
@@ -280,6 +198,7 @@ class TraceBoundReport:
     level_max: int
     proxy_level: int
     coupling: float
+    proxy_bands: tuple[tuple[float, float], ...]  # sigma_proxy meets sigma_proxy+1
     sample_energies: tuple[float, ...]
     sup_per_level: tuple[float, ...]  # index k = 0..level_max
     overall_sup: float
@@ -315,6 +234,7 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
         level_max=level_max,
         proxy_level=proxy,
         coupling=coupling,
+        proxy_bands=tuple(proxy_bands),
         sample_energies=tuple(energies),
         sup_per_level=tuple(sups),
         overall_sup=max(sups),

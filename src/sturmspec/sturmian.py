@@ -104,9 +104,6 @@ def parse_cf_spec(text):
     return coeffs
 
 
-GOLDEN_MEAN_COEFFS = [1]  # period of the golden-mean expansion [1,1,1,...]
-
-
 @dataclass(frozen=True)
 class StandardWordTower:
     """Words s_{-1} = 1, s_0 = 0, s_1 = s_0^{a_1 - 1} s_{-1},

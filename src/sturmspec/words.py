@@ -168,12 +168,6 @@ def parse_substitution(text):
     return Substitution(images), letters
 
 
-def format_substitution(subst, letters):
-    return ",".join(
-        f"{letters[i]}:{img.to_text(letters)}" for i, img in enumerate(subst.images)
-    )
-
-
 def substitute(subst, word, power=1):
     """Apply S ``power`` times to ``word``; S(uv) = S(u)S(v)."""
     if power < 1:

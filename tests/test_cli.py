@@ -82,6 +82,23 @@ class TestSpectrumTask:
         assert code == 3
         assert "bands" in err
 
+    def test_non_finite_coupling_exits_two(self, capsys):
+        for coupling in ("nan", "inf"):
+            code, out, err = run_cli(
+                ["spectrum", "--alpha-period", ":1", "--lambda", coupling, "--levels", "2"],
+                capsys,
+            )
+            assert code == 2
+            assert out == ""
+            assert "coupling" in err
+
+    def test_bad_level_range_exits_two(self, capsys):
+        code, _, err = run_cli(
+            ["spectrum", "--alpha-period", ":1", "--levels", "1..x"], capsys
+        )
+        assert code == 2
+        assert "1..x" in err
+
 
 class TestLyapunovTask:
     def test_free_rows(self, capsys):

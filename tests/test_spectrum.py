@@ -1,21 +1,32 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     Word,
     band_samples,
     band_spectrum,
+    convergents,
     intersect_intervals,
     interval_measure,
     measure_and_intersect,
+    standard_words,
+    sturmian_band_spectrum,
     sturmian_transfer,
     trace_bound_scan,
     union_intervals,
     zero_lyapunov_check,
 )
 from sturmspec.errors import InvalidInputError, ResolutionError
-from sturmspec.spectrum import _discriminant_at, _site_values
+from sturmspec.spectrum import _site_values
+from sturmspec.transfer import _product_over_values
+
+
+def _site_loop_trace(values, energy):
+    """tr M(E) over one period, multiplied out site by site."""
+    return _product_over_values(values, energy).trace()
 
 
 class TestBandSpectrum:
@@ -53,12 +64,29 @@ class TestBandSpectrum:
                 assert -2 - abs(spec.coupling) <= lo <= hi <= 2 + abs(spec.coupling)
 
     def test_edges_hit_trace_two(self, golden_cf, fib_spectra):
-        from sturmspec import standard_words
-
         values = _site_values(standard_words(golden_cf, 8).word(8), 1.0)
         for lo, hi in fib_spectra[8].bands:
-            assert abs(abs(_discriminant_at(values, lo)) - 2.0) < 1e-8
-            assert abs(abs(_discriminant_at(values, hi)) - 2.0) < 1e-8
+            assert abs(abs(_site_loop_trace(values, lo)) - 2.0) < 1e-8
+            assert abs(abs(_site_loop_trace(values, hi)) - 2.0) < 1e-8
+
+    def test_edges_separate_band_from_gap_at_strong_coupling(self, golden_cf):
+        # At a steep edge |tr| - 2 is about |tr'| * eps * ||H|| even when the
+        # edge is exact (1e-3 here), so a fixed bound on it says nothing.
+        # Instead |tr| - 2 must change sign across edge -+ delta, with delta
+        # 1% of the narrower of the adjacent band and gap.
+        level, coupling = 14, 10.0
+        spec = sturmian_band_spectrum(golden_cf, coupling, level)
+        values = _site_values(standard_words(golden_cf, level).word(level), coupling)
+        bands = spec.bands
+        assert spec.band_count == golden_cf.q[level] == 610
+        for i, (lo, hi) in enumerate(bands):
+            width = hi - lo
+            gap_below = lo - bands[i - 1][1] if i > 0 else width
+            gap_above = bands[i + 1][0] - hi if i + 1 < len(bands) else width
+            for edge, gap, outward in ((lo, gap_below, -1.0), (hi, gap_above, 1.0)):
+                delta = 0.01 * min(width, gap)
+                assert abs(_site_loop_trace(values, edge + outward * delta)) > 2.0
+                assert abs(_site_loop_trace(values, edge - outward * delta)) < 2.0
 
     def test_touching_bands_raise(self):
         # "00" is the free chain labeled with period 2: its two bands meet at
@@ -69,6 +97,36 @@ class TestBandSpectrum:
     def test_empty_word_rejected(self):
         with pytest.raises(InvalidInputError):
             band_spectrum(Word(b"", 2), 1.0)
+
+    def test_period_beyond_dense_limit_refused(self):
+        # refused before any q x q matrix is allocated
+        with pytest.raises(ResolutionError, match="5001"):
+            band_spectrum(Word(bytes(5001), 2), 1.0)
+
+    @pytest.mark.parametrize("coupling", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coupling_rejected(self, coupling):
+        with pytest.raises(InvalidInputError):
+            band_spectrum(Word.from_text("10"), coupling)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+    coupling=st.floats(0.1, 5.0),
+)
+def test_band_structure_over_random_continued_fractions(coeffs, coupling):
+    # the deepest level whose period keeps the site-loop checks cheap
+    cf = convergents(coeffs)
+    level = max(n for n in range(cf.depth + 1) if cf.q[n] <= 300)
+    spec = sturmian_band_spectrum(cf, coupling, level)
+    values = _site_values(standard_words(cf, level).word(level), coupling)
+    assert spec.band_count == cf.q[level]
+    for lo, hi in spec.bands:
+        assert lo < hi
+        assert abs(_site_loop_trace(values, 0.5 * (lo + hi))) <= 2.0
+    for lo, hi in spec.gaps():
+        assert lo < hi
+        assert abs(_site_loop_trace(values, 0.5 * (lo + hi))) > 2.0
 
 
 class TestIntervalArithmetic:
@@ -118,8 +176,6 @@ class TestMonotoneProxy:
             prev = rep.measure_intersection
 
     def test_lambda_two_trend(self, golden_cf):
-        from sturmspec import sturmian_band_spectrum
-
         specs = {n: sturmian_band_spectrum(golden_cf, 2.0, n) for n in range(1, 8)}
         prev = None
         for n in range(1, 7):
