@@ -11,11 +11,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+import numpy as np
 
 from . import __version__
 from .circlemap import (
@@ -28,7 +30,7 @@ from .circlemap import (
     hull_factor_comparison,
 )
 from .errors import InvalidInputError, SturmSpecError
-from .potentials import window_from_word
+from .potentials import constant_window, window_from_word
 from .spectrum import (
     band_samples,
     measure_and_intersect,
@@ -43,7 +45,7 @@ from .sturmian import (
     periodic_coefficients,
     standard_words,
 )
-from .transfer import forward_lyapunov_batch
+from .transfer import lyapunov_estimate
 from .words import SUBSTITUTION_TABLE, fixed_point_prefix, parse_substitution
 
 # Canonical substitution tables are written over letters; some models have a
@@ -105,27 +107,26 @@ def _parse_levels(text):
 
 
 def _parse_energies(text):
-    """``a:b:n`` linspace or a comma list of energies."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise InvalidInputError(f"energy range must be a:b:n, got {text!r}")
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise InvalidInputError("energy count must be >= 1")
-        if n == 1:
-            return [lo]
-        step = (hi - lo) / (n - 1)
-        return [lo + i * step for i in range(n)]
+    """``a:b:n`` linspace or a comma list of finite energies."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        if ":" in text:
+            parts = text.split(":")
+            if len(parts) != 3:
+                raise InvalidInputError(f"energy range must be a:b:n, got {text!r}")
+            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+            if n < 1:
+                raise InvalidInputError("energy count must be >= 1")
+            step = (hi - lo) / (n - 1) if n > 1 else 0.0
+            energies = [lo + i * step for i in range(n)]
+        else:
+            energies = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InvalidInputError(f"bad energy list {text!r}")
-
-
-def _chunks(seq, n):
-    size = max(1, (len(seq) + n - 1) // n)
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
+        raise InvalidInputError(f"bad energy spec {text!r}")
+    if not energies:
+        raise InvalidInputError(f"no energies in {text!r}")
+    if not all(math.isfinite(e) for e in energies):
+        raise InvalidInputError(f"energies must be finite, got {text!r}")
+    return energies
 
 
 def _task_word(args):
@@ -184,37 +185,18 @@ def _task_spectrum(args):
 def _task_lyapunov(args):
     energies = _parse_energies(args.energies)
     steps = args.steps
-    gamma_minus = None
     if args.potential == "sturmian":
-        cf = _resolve_cf(args)
-        values = [args.coupling * s for s in c_alpha_prefix(cf, steps).symbols]
+        window = window_from_word(c_alpha_prefix(_resolve_cf(args), steps), args.coupling)
     elif args.potential == "free":
-        values = [0.0] * steps
+        window = constant_window(0.0, 1, steps)
     else:  # circle
-        params = _circle_params(args)
-        window = circle_potential_window(params, Fraction(0), -steps, steps)
-        values = window.slice_values(1, steps)
-        backward_values = window.slice_values(-steps, -1)
-
-    chunks = _chunks(energies, args.jobs)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        plus_parts = list(pool.map(lambda ch: forward_lyapunov_batch(values, ch), chunks))
-        if args.potential == "circle":
-            # the backward product accumulates over V(-steps)..V(-1) in order
-            minus_parts = list(
-                pool.map(lambda ch: forward_lyapunov_batch(backward_values, ch), chunks)
-            )
-            gamma_minus = [g for part in minus_parts for g in part.tolist()]
-    gamma_plus = [g for part in plus_parts for g in part.tolist()]
-    rows = []
-    for i, e in enumerate(energies):
-        rows.append(
-            {
-                "energy": e,
-                "gamma_plus": gamma_plus[i],
-                "gamma_minus": gamma_minus[i] if gamma_minus else None,
-            }
-        )
+        window = circle_potential_window(_circle_params(args), Fraction(0), -steps, steps)
+    est = lyapunov_estimate(window, np.asarray(energies), steps)
+    gamma_minus = [None] * len(energies) if est.gamma_minus is None else est.gamma_minus.tolist()
+    rows = [
+        {"energy": e, "gamma_plus": gp, "gamma_minus": gm}
+        for e, gp, gm in zip(energies, est.gamma_plus.tolist(), gamma_minus)
+    ]
     return {"rows": rows, "steps": steps, "potential": args.potential}
 
 
@@ -226,29 +208,26 @@ def _task_gordon(args):
     q_n = cf.q[level]
     window = window_from_word(s_n + s_n, args.coupling, provenance=f"square s_{level}^2")
 
+    energies = None
     if args.energies.startswith("from-spectrum:"):
-        proxy = int(args.energies.split(":", 1)[1])
-        scan = trace_bound_scan(cf, args.coupling, level_max=proxy, proxy_level=proxy)
-        energies = band_samples(scan.proxy_bands, 1)
-        constant = {
-            "value": scan.derived_constant(),
-            "proxy_level": proxy,
-            "sampled_sup": scan.overall_sup,
-            "headroom": 0.1,
-        }
-        c_bound = constant["value"]
+        proxy_text = args.energies.split(":", 1)[1]
+        try:
+            proxy = int(proxy_text)
+        except ValueError:
+            raise InvalidInputError(f"bad proxy level {proxy_text!r} in {args.energies!r}")
     else:
         energies = _parse_energies(args.energies)
-        scan = trace_bound_scan(
-            cf, args.coupling, level_max=max(level, 8), proxy_level=max(level, 8)
-        )
-        constant = {
-            "value": scan.derived_constant(),
-            "proxy_level": max(level, 8),
-            "sampled_sup": scan.overall_sup,
-            "headroom": 0.1,
-        }
-        c_bound = constant["value"]
+        proxy = max(level, 8)
+    scan = trace_bound_scan(cf, args.coupling, level_max=proxy, proxy_level=proxy)
+    if energies is None:
+        energies = band_samples(scan.proxy_bands, 1)
+    c_bound = scan.derived_constant()
+    constant = {
+        "value": c_bound,
+        "proxy_level": proxy,
+        "sampled_sup": scan.overall_sup,
+        "headroom": 0.1,
+    }
 
     rng = random.Random(args.rng_seed)
     seeds = []
@@ -309,6 +288,8 @@ def _task_appendix(args):
         "ok": w0.value(0) == lam and wb.value(0) == 0.0,
     }
 
+    if args.theta_samples < 1:
+        raise InvalidInputError("--theta-samples must be >= 1")
     rng = random.Random(args.rng_seed)
     counts = []
     for _ in range(args.theta_samples):
@@ -422,7 +403,6 @@ def build_parser():
         "--lambda", dest="coupling", type=float, default=1.0, help="coupling strength"
     )
     common.add_argument("--precision", default=None, help="boundary guard as p/q")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for energy scans")
     common.add_argument("--out", default=None, help="output path (default stdout)")
     common.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -471,9 +451,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     try:
         report = run_experiment(args)
         text = emit_report(report, args.format)

@@ -225,11 +225,11 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
     energies = band_samples(proxy_bands, samples_per_band)
     if not energies:
         raise ResolutionError("proxy spectrum intersection is empty")
-    sups = []
-    for k in range(level_max + 1):
-        sups.append(
-            max(abs(sturmian_transfer(cf, coupling, e, k).trace()) for e in energies)
-        )
+    sample_array = np.asarray(energies)
+    sups = [
+        float(np.max(abs(sturmian_transfer(cf, coupling, sample_array, k).trace())))
+        for k in range(level_max + 1)
+    ]
     return TraceBoundReport(
         level_max=level_max,
         proxy_level=proxy,

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CertificateError, InvalidInputError, WindowError
 from .sturmian import c_alpha_prefix, standard_words, window_coverage_check
 from .transfer import iterate_solution, transfer_product
@@ -51,22 +53,17 @@ def gordon_membership(window, n, c_bound, energy_samples):
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
         raise WindowError(f"window must cover [1, {2 * n}]")
-    if not energy_samples:
+    energies = np.asarray(energy_samples, dtype=float)
+    if energies.size == 0:
         raise InvalidInputError("need at least one sample energy")
     square_ok = detect_square_prefix(_window_word(window, 1, 2 * n), n)
-    samples = []
-    traces_ok = True
-    for e in energy_samples:
-        tr = abs(transfer_product(window, e, 1, n).trace())
-        samples.append((float(e), tr))
-        if tr > c_bound:
-            traces_ok = False
+    traces = abs(transfer_product(window, energies, 1, n).trace())
     return GordonCertificate(
         n=n,
         c_used=float(c_bound),
         square_ok=square_ok,
-        trace_samples=tuple(samples),
-        verdict=square_ok and traces_ok,
+        trace_samples=tuple(zip(energies.tolist(), traces.tolist())),
+        verdict=square_ok and bool(np.all(traces <= c_bound)),
         provenance=window.provenance,
     )
 

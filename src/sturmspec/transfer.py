@@ -7,6 +7,15 @@ A product over sites k..n multiplies the single-site matrices
 with the index-n factor leftmost.  Entries are periodically rescaled and the
 scale accumulated as a log, so products over 10^6 sites never overflow even
 at Lyapunov exponents around 2.
+
+Every cocycle function takes the energy as a Python float or as a 1-d numpy
+array; an array gives the products at all its energies in one pass over the
+sites, and every ``TransferState`` method then works elementwise.  The site
+loop rescales by the entry sum |a| + |b| + |c| + |d| rather than by the
+matrix norm: the builtin ``abs`` and ``+`` serve a float and an array alike,
+so a float energy keeps Python-float mantissas (``np.maximum`` would turn
+them into numpy scalars and double the cost per site), and only ``log_scale``
+goes through ``np.log``.
 """
 
 from __future__ import annotations
@@ -26,24 +35,23 @@ class TransferState:
     """2x2 matrix (row-major a, b, c, d) with an accumulated log scale.
 
     The represented matrix is m * exp(log_scale); its determinant is 1, so
-    det(m) * exp(2 log_scale) = 1 up to float drift.
+    det(m) * exp(2 log_scale) = 1 up to float drift.  Entries and scale are
+    floats, or arrays aligned with the energies of the product.
     """
 
-    m: tuple[float, float, float, float]
+    m: tuple
     log_scale: float = 0.0
 
     def trace(self):
         """tr of the represented matrix; inf if the scale overflows."""
         a, _, _, d = self.m
-        try:
-            return (a + d) * math.exp(self.log_scale)
-        except OverflowError:
-            return math.copysign(math.inf, a + d)
+        with np.errstate(over="ignore"):
+            return (a + d) * np.exp(self.log_scale)
 
     def log_norm(self):
         """log of the max-abs-row-sum norm of the represented matrix."""
         a, b, c, d = self.m
-        return math.log(max(abs(a) + abs(b), abs(c) + abs(d))) + self.log_scale
+        return np.log(np.maximum(abs(a) + abs(b), abs(c) + abs(d))) + self.log_scale
 
     def det_residual(self):
         """det(m) * exp(2 log_scale) - 1.
@@ -52,14 +60,15 @@ class TransferState:
         strongly growing products the float det is cancellation noise.
         """
         a, b, c, d = self.m
-        return (a * d - b * c) * math.exp(2.0 * self.log_scale) - 1.0
+        with np.errstate(over="ignore"):
+            return (a * d - b * c) * np.exp(2.0 * self.log_scale) - 1.0
 
     def normalized(self):
         """(unit-row-sum-norm matrix, total log norm) for scale-free
         comparisons of large products."""
         a, b, c, d = self.m
-        s = max(abs(a) + abs(b), abs(c) + abs(d))
-        return (a / s, b / s, c / s, d / s), math.log(s) + self.log_scale
+        s = np.maximum(abs(a) + abs(b), abs(c) + abs(d))
+        return (a / s, b / s, c / s, d / s), np.log(s) + self.log_scale
 
 
 IDENTITY = TransferState(m=(1.0, 0.0, 0.0, 1.0), log_scale=0.0)
@@ -77,12 +86,12 @@ def multiply(left, right):
     b = a1 * b2 + b1 * d2
     c = c1 * a2 + d1 * c2
     d = c1 * b2 + d1 * d2
-    s = max(abs(a) + abs(b), abs(c) + abs(d))
-    if s == 0.0 or math.isinf(s) or math.isnan(s):
+    s = np.maximum(abs(a) + abs(b), abs(c) + abs(d))
+    if not np.all((s > 0.0) & np.isfinite(s)):
         raise NumericError("transfer product degenerated despite rescaling")
     return TransferState(
         m=(a / s, b / s, c / s, d / s),
-        log_scale=left.log_scale + right.log_scale + math.log(s),
+        log_scale=left.log_scale + right.log_scale + np.log(s),
     )
 
 
@@ -100,29 +109,40 @@ def state_power(state, k):
     return result
 
 
-def _product_over_values(values, energy, rescale_every=RESCALE_EVERY):
-    """Left-to-right accumulation of A over values V(k)..V(n)."""
+def _product_over_values(values, energy):
+    """Left-to-right accumulation of A over values V(k)..V(n): the one site
+    loop of the cocycle, for a float energy or an array of energies."""
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     log_scale = 0.0
     count = 0
-    for v in values:
-        x = energy - v
-        a, b, c, d = x * a - c, x * b - d, a, b
-        count += 1
-        if count % rescale_every == 0:
-            s = max(abs(a) + abs(b), abs(c) + abs(d))
-            a, b, c, d = a / s, b / s, c / s, d / s
-            log_scale += math.log(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in values:
+            x = energy - v
+            a, b, c, d = x * a - c, x * b - d, a, b
+            count += 1
+            if count % RESCALE_EVERY == 0:
+                s = abs(a) + abs(b) + abs(c) + abs(d)
+                a, b, c, d = a / s, b / s, c / s, d / s
+                log_scale += np.log(s)
+    finite = (
+        np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+        & np.isfinite(log_scale)
+    )
+    if not np.all(finite):
+        first = np.asarray(energy)[~finite][0]
+        raise NumericError(
+            f"transfer product over {count} sites is not finite at E = {float(first)!r}"
+        )
     return TransferState(m=(a, b, c, d), log_scale=log_scale)
 
 
-def transfer_product(window, energy, k, n, rescale_every=RESCALE_EVERY):
+def transfer_product(window, energy, k, n):
     """M(E, window, k, n): the cocycle over sites k..n inclusive."""
     if k > n:
         raise InvalidInputError("k > n")
     if not window.covers(k, n):
         raise WindowError(f"window [{window.lo}, {window.hi}] does not cover [{k}, {n}]")
-    return _product_over_values(window.slice_values(k, n), energy, rescale_every)
+    return _product_over_values(window.slice_values(k, n), energy)
 
 
 def sturmian_transfer(cf, coupling, energy, level):
@@ -193,7 +213,7 @@ class LyapunovEstimate:
     diagnostic.
     """
 
-    energy: float
+    energy: float  # or an array of energies, with gammas aligned to it
     steps: int
     gamma_plus: float | None
     gamma_minus: float | None
@@ -205,7 +225,7 @@ class LyapunovEstimate:
         return abs(self.gamma_plus - self.gamma_minus)
 
 
-def lyapunov_estimate(window, energy, steps, rescale_every=RESCALE_EVERY):
+def lyapunov_estimate(window, energy, steps):
     """Estimate gamma+ over sites [1, steps] and gamma- over [-steps, -1],
     whichever sides the window covers (at least one required)."""
     if steps < 1000:
@@ -216,43 +236,21 @@ def lyapunov_estimate(window, energy, steps, rescale_every=RESCALE_EVERY):
         raise WindowError("window covers neither [1, steps] nor [-steps, -1]")
     gamma_plus = gamma_minus = None
     if forward:
-        state = transfer_product(window, energy, 1, steps, rescale_every)
-        gamma_plus = state.log_norm() / steps
+        gamma_plus = transfer_product(window, energy, 1, steps).log_norm() / steps
     if backward:
-        state = transfer_product(window, energy, -steps, -1, rescale_every)
-        gamma_minus = state.log_norm() / steps
+        gamma_minus = transfer_product(window, energy, -steps, -1).log_norm() / steps
     return LyapunovEstimate(
         energy=energy, steps=steps, gamma_plus=gamma_plus, gamma_minus=gamma_minus
     )
 
 
-def forward_lyapunov_batch(values, energies, rescale_every=RESCALE_EVERY):
+def forward_lyapunov_batch(values, energies):
     """gamma+ estimates for many energies over one shared forward potential
-    V(1)..V(steps); vectorized across energies.
+    V(1)..V(steps).
 
     Returns a float array aligned with ``energies``.
     """
     steps = len(values)
     if steps < 1:
         raise InvalidInputError("empty potential")
-    e = np.asarray(energies, dtype=float)
-    a = np.ones_like(e)
-    b = np.zeros_like(e)
-    c = np.zeros_like(e)
-    d = np.ones_like(e)
-    log_scale = np.zeros_like(e)
-    count = 0
-    for v in values:
-        x = e - v
-        a, c = x * a - c, a
-        b, d = x * b - d, b
-        count += 1
-        if count % rescale_every == 0:
-            s = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
-            a /= s
-            b /= s
-            c /= s
-            d /= s
-            log_scale += np.log(s)
-    norm = np.maximum(np.abs(a) + np.abs(b), np.abs(c) + np.abs(d))
-    return (np.log(norm) + log_scale) / steps
+    return _product_over_values(values, np.asarray(energies, dtype=float)).log_norm() / steps

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sturmspec.cli import build_parser, emit_report, main, run_experiment
 
 
@@ -120,13 +122,6 @@ class TestLyapunovTask:
         lines = out.splitlines()
         assert lines[0] == "energy,gamma_plus,gamma_minus"
         assert len(lines) == 5
-
-    def test_jobs_do_not_change_results(self):
-        base = ["lyapunov", "--potential", "sturmian", "--alpha-period", ":1",
-                "--energies=-1:2:7", "--steps", "2000"]
-        rows1 = run_report(base + ["--jobs", "1"])["rows"]
-        rows2 = run_report(base + ["--jobs", "3"])["rows"]
-        assert rows1 == rows2
 
     def test_circle_potential_has_backward_exponent(self):
         report = run_report(
@@ -265,6 +260,36 @@ class TestBoundaryAmbiguityExit:
         )
         assert code == 4
         assert "boundary" in err or "guard" in err
+
+
+FREE_LYAPUNOV = ["lyapunov", "--potential", "free", "--steps", "1000"]
+
+
+class TestRefusedRuns:
+    @pytest.mark.parametrize(
+        "argv, exit_code, needle",
+        [
+            (FREE_LYAPUNOV + ["--energies=a:b:3"], 2, "a:b:3"),
+            (FREE_LYAPUNOV + ["--energies=nan"], 2, "finite"),
+            (FREE_LYAPUNOV + ["--energies=inf"], 2, "finite"),
+            (FREE_LYAPUNOV + ["--energies=-inf"], 2, "finite"),
+            (FREE_LYAPUNOV + ["--energies=,"], 2, "no energies"),
+            (FREE_LYAPUNOV + ["--energies=1e308"], 3, "1e+308"),
+            (["lyapunov", "--alpha-period", ":1", "--energies", "0", "--steps", "10"],
+             2, "steps"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--theta-samples", "0"],
+             2, "theta-samples"),
+            (["gordon", "--alpha-period", ":1", "--level", "3",
+              "--energies", "from-spectrum:x"], 2, "proxy level"),
+        ],
+    )
+    def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == exit_code
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert needle in lines[0]
 
 
 class TestReportPlumbing:

@@ -1,7 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     Word,
@@ -93,6 +96,31 @@ class TestTransferProduct:
                 transfer_product(window, energy, 1, cut),
             )
             assert matrices_close(direct, combined, 1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    symbols=st.lists(st.integers(0, 1), min_size=2, max_size=2000),
+    cut_draw=st.floats(0.0, 1.0),
+    energies=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+)
+def test_kernel_split_law_and_float_agreement_over_random_words(symbols, cut_draw, energies):
+    # criterion 11 tolerances, elementwise over an array of energies
+    total = len(symbols)
+    cut = min(1 + int(cut_draw * (total - 1)), total - 1)
+    window = window_from_word(Word(bytes(symbols), 2), 1.0)
+    e = np.asarray(energies)
+    direct = transfer_product(window, e, 1, total)
+    combined = multiply(
+        transfer_product(window, e, cut + 1, total), transfer_product(window, e, 1, cut)
+    )
+    (m1, log1), (m2, log2) = direct.normalized(), combined.normalized()
+    assert max(np.max(abs(x - y)) for x, y in zip(m1, m2)) <= 1e-8
+    assert np.all(abs(log1 - log2) <= 1e-8 * np.maximum(1.0, abs(log1)))
+    for i, energy in enumerate(energies):
+        m3, log3 = transfer_product(window, energy, 1, total).normalized()
+        assert max(abs(x[i] - y) for x, y in zip(m1, m3)) <= 1e-8
+        assert abs(log1[i] - log3) <= 1e-8 * max(1.0, abs(log1[i]))
 
 
 class TestSturmianTransfer:
