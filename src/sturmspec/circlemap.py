@@ -5,13 +5,16 @@ denominator, so membership of an orbit point in the half-open interval
 [1-beta, 1) is exactly decidable.  Floating point is never allowed near the
 interval boundary: points that land on or suspiciously close to a boundary
 abort with the offending index instead of guessing.
+
+The hull scan sweeps the arcs between the 2L breakpoints -n alpha and
+(1-beta) - n alpha (mod 1), n = 1..L, where a length-L coding changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, isfinite, lcm
 
 from .errors import BoundaryAmbiguityError, InvalidInputError
 from .potentials import PotentialWindow
@@ -45,6 +48,8 @@ class CircleParams:
             object.__setattr__(self, "guard", Fraction(1, 10 * self.alpha.denominator))
         if self.guard <= 0:
             raise InvalidInputError("guard must be positive")
+        if not isfinite(self.coupling):
+            raise InvalidInputError(f"coupling must be finite, got {self.coupling!r}")
 
     @classmethod
     def from_cf(cls, cf, beta, coupling=1.0, guard=None):
@@ -220,7 +225,13 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
     F2 = the length-L initial windows over a uniform theta grid, together
     with windows of both boundary-limit sequences.
 
-    Grid angles that hit the boundary guard are skipped and counted.
+    Grid angles within the guard of a breakpoint (module docstring) are
+    skipped and counted; the other grid angles of an arc between adjacent
+    breakpoints share the arc's word, so the exact scan costs O(L^2) at any
+    grid size.  The guard on 1-beta in ``_orbit_bits`` is the linear
+    |x - (1-beta)|, which skips the same angles as the circular distance:
+    where the two differ, the short way round passes through 0, and the
+    point is within the guard of 0.
     """
     L = factor_length
     if L < 1:
@@ -229,20 +240,24 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
         raise InvalidInputError("prefix shorter than the factor length")
     if theta_grid_size < 1:
         raise InvalidInputError("grid size must be >= 1")
+    # This also checks the precision of every orbit index up to L.
     prefix_bits = _orbit_bits(params, Fraction(0), 1, prefix_length)
     prefix_word = Word(bytes(prefix_bits), 2)
     f1 = {w.symbols for w in factor_set(prefix_word, L)}
 
+    G, g = theta_grid_size, params.guard
+    cuts = sorted(
+        {(b - n * params.alpha) % 1 for n in range(1, L + 1) for b in (0, 1 - params.beta)}
+    )
     f2 = set()
-    skipped = 0
-    for k in range(theta_grid_size):
-        theta = Fraction(k, theta_grid_size)
-        try:
-            bits = _orbit_bits(params, theta, 1, L)
-        except BoundaryAmbiguityError:
-            skipped += 1
-            continue
-        f2.add(bytes(bits))
+    kept = 0
+    for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + 1]):
+        # the integers k with lo + g < k/G < hi - g; the last arc wraps past 1
+        k_lo = floor((lo + g) * G) + 1
+        count = ceil((hi - g) * G) - k_lo
+        if count > 0:
+            kept += count
+            f2.add(bytes(_orbit_bits(params, Fraction(k_lo % G, G), 1, L)))
     for which in (AT_ZERO, AT_ONE_MINUS_BETA):
         theta = Fraction(0) if which == AT_ZERO else 1 - params.beta
         bits = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
@@ -263,6 +278,6 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
         factors_grid=fmt(f2),
         missing=fmt(missing),
         extra=fmt(f2 - f1),
-        skipped_thetas=skipped,
+        skipped_thetas=theta_grid_size - kept,
         contained=not missing,
     )

@@ -290,6 +290,8 @@ def _task_appendix(args):
 
     if args.theta_samples < 1:
         raise InvalidInputError("--theta-samples must be >= 1")
+    if args.range_n < 1:
+        raise InvalidInputError("--range-n must be >= 1")
     rng = random.Random(args.rng_seed)
     counts = []
     for _ in range(args.theta_samples):

@@ -92,7 +92,7 @@ class NondecayReport:
 
 
 def nondecay_verify(window, n, energy, seeds, c_bound=None):
-    """Check the non-decay inequality for each seed on a square window.
+    """Check the non-decay inequality for all seeds at once on a square window.
 
     Requires the square condition at period n and, when ``c_bound`` is
     given, |tr| <= c_bound at this energy (otherwise the measured trace
@@ -113,27 +113,23 @@ def nondecay_verify(window, n, energy, seeds, c_bound=None):
         raise CertificateError(
             f"|trace| = {abs(tr):.6g} exceeds certified bound {c_bound:.6g}"
         )
-    min_ratio = float("inf")
-    max_residual = 0.0
-    for seed in seeds:
-        traj = iterate_solution(window, energy, seed, n_max=2 * n)
-        u0 = traj.vector_norm(0)
-        r = max(traj.vector_norm(n), traj.vector_norm(2 * n)) / u0
-        min_ratio = min(min_ratio, r)
-        # two-block identity residual, component-wise
-        res = max(
-            abs(traj.u[2 * n + 1] - tr * traj.u[n + 1] + traj.u[1]),
-            abs(traj.u[2 * n] - tr * traj.u[n] + traj.u[0]),
-        )
-        max_residual = max(max_residual, res / max(u0, 1.0))
+    u0, u1 = np.asarray(seeds, dtype=float).T
+    traj = iterate_solution(window, energy, (u0, u1), n_max=2 * n)
+    norm0 = traj.vector_norm(0)
+    ratios = np.maximum(traj.vector_norm(n), traj.vector_norm(2 * n)) / norm0
+    # two-block identity residual, component-wise
+    residuals = np.maximum(
+        abs(traj.u[2 * n + 1] - tr * traj.u[n + 1] + traj.u[1]),
+        abs(traj.u[2 * n] - tr * traj.u[n] + traj.u[0]),
+    ) / np.maximum(norm0, 1.0)
     return NondecayReport(
         n=n,
         energy=float(energy),
         c_bound=float(c_bound),
         lower_bound=1.0 / (c_bound + 1.0),
-        min_ratio=min_ratio,
+        min_ratio=float(ratios.min()),
         seeds_tested=len(seeds),
-        max_identity_residual=max_residual,
+        max_identity_residual=float(residuals.max()),
     )
 
 

@@ -20,7 +20,6 @@ goes through ``np.log``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,11 +169,12 @@ def sturmian_transfer(cf, coupling, energy, level):
 @dataclass(frozen=True)
 class SolutionTrajectory:
     """Solution of u(n+1) + u(n-1) + V(n) u(n) = E u(n), seeded by
-    (u(0), u(1)) and iterated forward over the window."""
+    (u(0), u(1)) and iterated forward over the window.  The seed and each
+    u(k) are floats, or 1-d arrays with one entry per seed."""
 
     energy: float
-    seed: tuple[float, float]
-    u: tuple[float, ...]  # u[k] = u(k), k = 0..top
+    seed: tuple
+    u: tuple  # u[k] = u(k), k = 0..top
 
     @property
     def top(self):
@@ -184,24 +184,23 @@ class SolutionTrajectory:
         """Euclidean norm of U(k) = (u(k+1), u(k))."""
         if not 0 <= k < self.top:
             raise WindowError(f"U({k}) needs u up to {k + 1}, have {self.top}")
-        return math.hypot(self.u[k + 1], self.u[k])
+        return np.hypot(self.u[k + 1], self.u[k])
 
 
 def iterate_solution(window, energy, seed, n_max=None):
     """Iterate u(n+1) = (E - V(n)) u(n) - u(n-1) for n = 1..n_max."""
     u0, u1 = seed
-    if u0 == 0.0 and u1 == 0.0:
+    if np.any((u0 == 0) & (u1 == 0)):
         raise InvalidInputError("degenerate zero seed")
     top = window.hi if n_max is None else n_max
     if window.lo > 1 or top > window.hi:
         raise WindowError(f"window [{window.lo}, {window.hi}] does not cover [1, {top}]")
-    u = [float(u0), float(u1)]
-    prev, cur = float(u0), float(u1)
-    vals = window.slice_values(1, top)
-    for v in vals:
+    prev, cur = u0 * 1.0, u1 * 1.0
+    u = [prev, cur]
+    for v in window.slice_values(1, top):
         prev, cur = cur, (energy - v) * cur - prev
         u.append(cur)
-    return SolutionTrajectory(energy=energy, seed=(float(u0), float(u1)), u=tuple(u))
+    return SolutionTrajectory(energy=energy, seed=(u[0], u[1]), u=tuple(u))
 
 
 @dataclass(frozen=True)

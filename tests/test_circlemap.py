@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     AT_ONE_MINUS_BETA,
@@ -17,7 +20,9 @@ from sturmspec import (
     hull_factor_comparison,
     periodic_coefficients,
 )
-from sturmspec.errors import InvalidInputError
+from sturmspec.circlemap import _orbit_bits
+from sturmspec.errors import InvalidInputError, SturmSpecError
+from sturmspec.words import Word
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +42,36 @@ def quarter_params(golden30):
 
 def bits(window):
     return "".join("1" if v else "0" for v in window.values)
+
+
+def reference_grid_scan(params, L, grid_size, prefix_length):
+    """(factors_grid, skipped_thetas) of ``hull_factor_comparison`` from one
+    orbit per grid angle, the scan the arc sweep replaced."""
+    _orbit_bits(params, Fraction(0), 1, prefix_length)
+    f2, skipped = set(), 0
+    for k in range(grid_size):
+        try:
+            f2.add(bytes(_orbit_bits(params, Fraction(k, grid_size), 1, L)))
+        except BoundaryAmbiguityError:
+            skipped += 1
+    for theta in (Fraction(0), 1 - params.beta):
+        bits = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
+        for i in range(len(bits) - L + 1):
+            if None not in bits[i : i + L]:
+                f2.add(bytes(bits[i : i + L]))
+    return tuple(sorted(Word(w, 2).to_text() for w in f2)), skipped
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SturmSpecError as err:
+        return type(err)
+
+
+def arc_sweep(params, L, grid_size, prefix_length):
+    rep = hull_factor_comparison(params, L, grid_size, prefix_length)
+    return rep.factors_grid, rep.skipped_thetas
 
 
 class TestCircleWindow:
@@ -166,3 +201,44 @@ class TestHullComparison:
         rep = hull_factor_comparison(quarter_params, 6, 10**4, 10**4)
         assert rep.contained
         assert rep.skipped_thetas <= 2
+
+    @pytest.mark.parametrize(
+        "guard, L, grid_size, skipped",
+        # angle 0 is on every grid and its orbit is the prefix's, so a run
+        # that gets past the prefix keeps it: at most grid_size - 1 angles
+        # are skipped
+        [(Fraction(1, 1000), 6, 3000, 72), (Fraction(1, 10), 3, 10, 9)],
+        ids=["some-skipped", "all-but-zero-skipped"],
+    )
+    def test_arc_sweep_matches_per_angle_scan(self, golden30, guard, L, grid_size, skipped):
+        params = CircleParams(alpha=golden30, beta=Fraction(1, 4), guard=guard)
+        expected = reference_grid_scan(params, L, grid_size, L)
+        assert expected[1] == skipped
+        assert arc_sweep(params, L, grid_size, L) == expected
+
+    def test_cost_does_not_depend_on_grid(self, quarter_params):
+        start = time.perf_counter()
+        rep = hull_factor_comparison(quarter_params, 6, 10**9, 10**4)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 2.0
+        coarse = hull_factor_comparison(quarter_params, 6, 10**4, 10**4)
+        assert rep.factors_grid == coarse.factors_grid
+        assert rep.contained
+        assert 0 < rep.skipped_thetas < 10**5
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=3, max_size=25),
+    beta=st.integers(2, 60).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+    guard=st.integers(2, 10**6).map(lambda d: Fraction(1, d)),
+    L=st.integers(1, 12),
+    grid_size=st.integers(1, 5000),
+)
+def test_arc_sweep_over_random_continued_fractions(coeffs, beta, guard, L, grid_size):
+    # too shallow a continued fraction fails the precision check in both scans
+    params = CircleParams.from_cf(convergents(coeffs), beta, guard=guard)
+    expected = outcome(reference_grid_scan, params, L, grid_size, L)
+    assert outcome(arc_sweep, params, L, grid_size, L) == expected

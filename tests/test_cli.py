@@ -281,6 +281,14 @@ class TestRefusedRuns:
              2, "theta-samples"),
             (["gordon", "--alpha-period", ":1", "--level", "3",
               "--energies", "from-spectrum:x"], 2, "proxy level"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--range-n", "0"],
+             2, "range-n"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--lambda", "nan"],
+             2, "coupling"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--lambda", "inf"],
+             2, "coupling"),
+            (["lyapunov", "--potential", "circle", "--alpha-period", ":1", "--beta", "1/4",
+              "--energies", "0", "--lambda", "nan"], 2, "coupling"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

@@ -9,15 +9,33 @@ from sturmspec import (
     constant_window,
     detect_square_prefix,
     gordon_membership,
+    iterate_solution,
     nondecay_verify,
     periodic_window,
     stability_measure_bound,
     standard_words,
     trace_bound_scan,
+    transfer_product,
     window_from_word,
 )
 from sturmspec.errors import CertificateError, WindowError
 from sturmspec.spectrum import band_samples, intersect_intervals
+
+
+def reference_nondecay(window, n, energy, seeds):
+    """(min_ratio, max_identity_residual) from one trajectory per seed."""
+    tr = transfer_product(window, energy, 1, n).trace()
+    min_ratio, max_residual = math.inf, 0.0
+    for seed in seeds:
+        u = iterate_solution(window, energy, seed, n_max=2 * n).u
+        u0 = math.hypot(u[1], u[0])
+        ratio = max(math.hypot(u[n + 1], u[n]), math.hypot(u[2 * n + 1], u[2 * n])) / u0
+        min_ratio = min(min_ratio, ratio)
+        residual = max(
+            abs(u[2 * n + 1] - tr * u[n + 1] + u[1]), abs(u[2 * n] - tr * u[n] + u[0])
+        )
+        max_residual = max(max_residual, residual / max(u0, 1.0))
+    return min_ratio, max_residual
 
 
 @pytest.fixture(scope="module")
@@ -115,6 +133,21 @@ class TestNondecay:
                 c_bound=trace_constant,
             )
             assert report.ok
+
+    def test_all_seeds_at_once_match_per_seed_loop(
+        self, s4_square_window, proxy_energies, trace_constant
+    ):
+        rng = random.Random(29)
+        seeds = []
+        for _ in range(50):
+            angle, radius = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 10)
+            seeds.append((radius * math.cos(angle), radius * math.sin(angle)))
+        for energy in proxy_energies[:10]:
+            report = nondecay_verify(s4_square_window, 5, energy, seeds, c_bound=trace_constant)
+            min_ratio, max_residual = reference_nondecay(s4_square_window, 5, energy, seeds)
+            assert report.min_ratio == pytest.approx(min_ratio, rel=1e-12)
+            assert report.max_identity_residual == pytest.approx(max_residual, rel=1e-12)
+            assert report.seeds_tested == 50
 
     def test_requires_square(self):
         window = window_from_word(Word.from_text("0110"), 1.0)

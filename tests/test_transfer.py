@@ -208,6 +208,24 @@ class TestSolutions:
         with pytest.raises(InvalidInputError):
             iterate_solution(constant_window(0.0, 1, 5), 0.0, (0.0, 0.0))
 
+    def test_array_seeds_match_float_runs(self, golden_cf):
+        window = window_from_word(c_alpha_prefix(golden_cf, 300), 1.0)
+        rng = random.Random(5)
+        seeds = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(7)] + [(0.0, 1.0)]
+        u0, u1 = np.array(seeds).T
+        batch = iterate_solution(window, 0.7, (u0, u1), n_max=250)
+        assert batch.top == 251
+        for i, seed in enumerate(seeds):
+            single = iterate_solution(window, 0.7, seed, n_max=250)
+            assert [u[i] for u in batch.u] == list(single.u)
+            for k in (0, 89, 250):
+                assert batch.vector_norm(k)[i] == single.vector_norm(k)
+
+    def test_zero_seed_anywhere_in_array_rejected(self):
+        u0, u1 = np.array([1.0, 0.0, 0.5]), np.array([0.0, 0.0, 2.0])
+        with pytest.raises(InvalidInputError):
+            iterate_solution(constant_window(0.0, 1, 5), 0.0, (u0, u1))
+
 
 class TestLyapunov:
     def test_free_center(self):
