@@ -84,32 +84,31 @@ def _orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
     denom = lcm(params.alpha.denominator, theta.denominator, params.beta.denominator)
     step = params.alpha.numerator * (denom // params.alpha.denominator)
     cut = denom - params.beta.numerator * (denom // params.beta.denominator)  # 1-beta
-    # guard distance as an integer threshold over the common denominator
-    g_num, g_den = params.guard.numerator, params.guard.denominator
+    # The guard as an integer threshold over the common denominator: for an
+    # integer m >= 0, m * g_den <= g_num * denom exactly when m <= t.  So x
+    # is within the guard of 0 when x <= t or denom - x <= t, and of 1-beta
+    # when |x - cut| <= t; exact hits lie inside both, since t >= 0.
+    t = params.guard.numerator * denom // params.guard.denominator
+    near_top, cut_lo, cut_hi = denom - t, cut - t, cut + t
     x = (step * lo + theta.numerator * (denom // theta.denominator)) % denom
     step %= denom
     bits = []
     for n in range(lo, hi + 1):
-        exact_hit = x == 0 or x == cut
-        near = (
-            min(x, denom - x) * g_den <= g_num * denom
-            or abs(x - cut) * g_den <= g_num * denom
-        )
-        if (exact_hit or near) and n != 0:
-            if mark_ambiguous:
-                bits.append(None)
-                x = (x + step) % denom
-                continue
-            raise BoundaryAmbiguityError(
-                f"orbit point at index {n} is on or within the guard of an "
-                f"indicator boundary",
-                index=n,
-            )
-        if flipped:
+        if (x <= t or x >= near_top or cut_lo <= x <= cut_hi) and n != 0:
+            if not mark_ambiguous:
+                raise BoundaryAmbiguityError(
+                    f"orbit point at index {n} is on or within the guard of an "
+                    f"indicator boundary",
+                    index=n,
+                )
+            bits.append(None)
+        elif flipped:
             bits.append(1 if (x > cut or x == 0) else 0)
         else:
             bits.append(1 if x >= cut else 0)
-        x = (x + step) % denom
+        x += step
+        if x >= denom:
+            x -= denom
     return bits
 
 

@@ -151,6 +151,10 @@ def _task_word(args):
         text = word.to_text(out_letters)
     elif args.subst:
         subst, letters = parse_substitution(args.subst)
+        if args.seed is not None and args.seed not in set(letters):
+            raise InvalidInputError(
+                f"--seed must be one letter of the substitution ({letters}), got {args.seed!r}"
+            )
         seed = letters.index(args.seed) if args.seed else 0
         word = fixed_point_prefix(subst, seed, args.length)[: args.length]
         text = word.to_text(letters)
@@ -201,6 +205,8 @@ def _task_lyapunov(args):
 
 
 def _task_gordon(args):
+    if args.seeds < 1:
+        raise InvalidInputError(f"--seeds must be >= 1, got {args.seeds}")
     cf = _resolve_cf(args)
     level = args.level
     tower = standard_words(cf, level)
@@ -239,25 +245,20 @@ def _task_gordon(args):
                 seeds.append((x / norm, y / norm))
                 break
 
-    certificates = []
-    for e in energies:
-        cert = gordon_membership(window, q_n, c_bound, [e])
-        entry = {
-            "energy": e,
-            "square_ok": cert.square_ok,
-            "abs_trace": cert.trace_samples[0][1],
-            "verdict": cert.verdict,
-        }
-        if cert.verdict:
-            rep = nondecay_verify(window, q_n, e, seeds, c_bound=c_bound)
-            entry.update(
-                {
-                    "min_ratio": rep.min_ratio,
-                    "lower_bound": rep.lower_bound,
-                    "nondecay_ok": rep.ok,
-                }
-            )
-        certificates.append(entry)
+    cert = gordon_membership(window, q_n, c_bound, energies)
+    certificates = [
+        {"energy": e, "square_ok": cert.square_ok, "abs_trace": t,
+         "verdict": cert.square_ok and t <= c_bound}
+        for e, t in cert.trace_samples
+    ]
+    certified = [entry for entry in certificates if entry["verdict"]]
+    if certified:
+        rep = nondecay_verify(
+            window, q_n, np.array([entry["energy"] for entry in certified]), seeds,
+            c_bound=c_bound,
+        )
+        for entry, ratio, ok in zip(certified, rep.min_ratio.tolist(), rep.ok.tolist()):
+            entry.update({"min_ratio": ratio, "lower_bound": rep.lower_bound, "nondecay_ok": ok})
     return {
         "level": level,
         "q_n": q_n,

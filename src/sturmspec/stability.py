@@ -75,7 +75,10 @@ class NondecayReport:
     For every seed, r = max(||U(n)||, ||U(2n)||) / ||U(0)|| must stay above
     1/(c_bound + 1); ``min_ratio`` is the worst case over the seeds and
     ``max_identity_residual`` the worst float residual of the two-block
-    identity itself.
+    identity itself.  For a float energy every field is a float; for an
+    array of energies ``energy``, ``min_ratio`` and
+    ``max_identity_residual`` (and ``c_bound``, ``lower_bound`` when taken
+    from the traces) are arrays aligned with it, and ``ok`` is elementwise.
     """
 
     n: int
@@ -94,9 +97,11 @@ class NondecayReport:
 def nondecay_verify(window, n, energy, seeds, c_bound=None):
     """Check the non-decay inequality for all seeds at once on a square window.
 
-    Requires the square condition at period n and, when ``c_bound`` is
-    given, |tr| <= c_bound at this energy (otherwise the measured trace
-    itself is used as the bound)."""
+    ``energy`` is a float or a 1-d array; an array is broadcast against the
+    seeds, so one iteration covers every (energy, seed) pair.  Requires the
+    square condition at period n and, when ``c_bound`` is given,
+    |tr| <= c_bound at every energy (otherwise the measured trace itself is
+    used as the bound)."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
@@ -105,16 +110,21 @@ def nondecay_verify(window, n, energy, seeds, c_bound=None):
         raise InvalidInputError("need at least one seed")
     if not detect_square_prefix(_window_word(window, 1, 2 * n), n):
         raise CertificateError("window is not a square at this period")
-    tr_state = transfer_product(window, energy, 1, n)
-    tr = tr_state.trace()
+    energies = np.asarray(energy, dtype=float)
+    tr = transfer_product(window, energy, 1, n).trace()
+    abs_tr = abs(tr)
     if c_bound is None:
-        c_bound = abs(tr)
-    elif abs(tr) > c_bound:
+        c_bound = abs_tr
+    over = abs_tr > c_bound
+    if np.any(over):
         raise CertificateError(
-            f"|trace| = {abs(tr):.6g} exceeds certified bound {c_bound:.6g}"
+            f"|trace| = {np.asarray(abs_tr)[over][0]:.6g} at E = {float(energies[over][0])!r} "
+            f"exceeds certified bound {c_bound:.6g}"
         )
     u0, u1 = np.asarray(seeds, dtype=float).T
-    traj = iterate_solution(window, energy, (u0, u1), n_max=2 * n)
+    # a trailing axis of length one broadcasts the energies against the seeds
+    traj = iterate_solution(window, energies[..., None], (u0, u1), n_max=2 * n)
+    tr = np.asarray(tr)[..., None]
     norm0 = traj.vector_norm(0)
     ratios = np.maximum(traj.vector_norm(n), traj.vector_norm(2 * n)) / norm0
     # two-block identity residual, component-wise
@@ -122,15 +132,16 @@ def nondecay_verify(window, n, energy, seeds, c_bound=None):
         abs(traj.u[2 * n + 1] - tr * traj.u[n + 1] + traj.u[1]),
         abs(traj.u[2 * n] - tr * traj.u[n] + traj.u[0]),
     ) / np.maximum(norm0, 1.0)
-    return NondecayReport(
-        n=n,
-        energy=float(energy),
-        c_bound=float(c_bound),
-        lower_bound=1.0 / (c_bound + 1.0),
-        min_ratio=float(ratios.min()),
-        seeds_tested=len(seeds),
-        max_identity_residual=float(residuals.max()),
-    )
+    fields = {
+        "energy": energies,
+        "c_bound": c_bound,
+        "lower_bound": 1.0 / (c_bound + 1.0),
+        "min_ratio": ratios.min(axis=-1),
+        "max_identity_residual": residuals.max(axis=-1),
+    }
+    if np.ndim(energy) == 0:
+        fields = {k: float(v) for k, v in fields.items()}
+    return NondecayReport(n=n, seeds_tested=len(seeds), **fields)
 
 
 @dataclass(frozen=True)

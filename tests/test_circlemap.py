@@ -1,9 +1,10 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sturmspec import (
@@ -20,7 +21,7 @@ from sturmspec import (
     hull_factor_comparison,
     periodic_coefficients,
 )
-from sturmspec.circlemap import _orbit_bits
+from sturmspec.circlemap import _orbit_bits, _require_precision
 from sturmspec.errors import InvalidInputError, SturmSpecError
 from sturmspec.words import Word
 
@@ -62,9 +63,44 @@ def reference_grid_scan(params, L, grid_size, prefix_length):
     return tuple(sorted(Word(w, 2).to_text() for w in f2)), skipped
 
 
-def outcome(fn, *args):
+def reference_orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
+    """``_orbit_bits`` with the guard tested by big-integer products and the
+    orbit advanced by ``%``, the form the integer thresholds replaced."""
+    theta = Fraction(theta)
+    if lo > hi:
+        raise InvalidInputError("lo > hi")
+    _require_precision(params, max(abs(lo), abs(hi)))
+    denom = lcm(params.alpha.denominator, theta.denominator, params.beta.denominator)
+    step = params.alpha.numerator * (denom // params.alpha.denominator)
+    cut = denom - params.beta.numerator * (denom // params.beta.denominator)
+    g_num, g_den = params.guard.numerator, params.guard.denominator
+    x = (step * lo + theta.numerator * (denom // theta.denominator)) % denom
+    bits = []
+    for n in range(lo, hi + 1):
+        near = (
+            x == 0
+            or x == cut
+            or min(x, denom - x) * g_den <= g_num * denom
+            or abs(x - cut) * g_den <= g_num * denom
+        )
+        if near and n != 0:
+            if not mark_ambiguous:
+                raise BoundaryAmbiguityError("boundary", index=n)
+            bits.append(None)
+        elif flipped:
+            bits.append(1 if (x > cut or x == 0) else 0)
+        else:
+            bits.append(1 if x >= cut else 0)
+        x = (x + step) % denom
+    return bits
+
+
+def outcome(fn, *args, **kwargs):
+    """The result, or the error's type (with the index of a boundary hit)."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
+    except BoundaryAmbiguityError as err:
+        return BoundaryAmbiguityError, err.index
     except SturmSpecError as err:
         return type(err)
 
@@ -242,3 +278,69 @@ def test_arc_sweep_over_random_continued_fractions(coeffs, beta, guard, L, grid_
     params = CircleParams.from_cf(convergents(coeffs), beta, guard=guard)
     expected = outcome(reference_grid_scan, params, L, grid_size, L)
     assert outcome(arc_sweep, params, L, grid_size, L) == expected
+
+
+def guard_edge_angle(params, lo, length, edge):
+    """An angle whose orbit point at one index of [lo, lo + length] lies at
+    exactly the guard distance from 0 or 1-beta, or one unit of a finer
+    denominator inside or outside it."""
+    boundary, side, offset, nudge = edge
+    point = (1 - params.beta if boundary else 0) + side * params.guard
+    unit = Fraction(1, 10 * lcm(params.alpha.denominator, params.beta.denominator,
+                                params.guard.denominator))
+    n = lo + min(offset, length)
+    return (point - n * params.alpha + nudge * unit) % 1
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    # depth drawn first: short lists would mostly fail the precision check
+    coeffs=st.integers(3, 25).flatmap(
+        lambda depth: st.lists(st.integers(1, 5), min_size=depth, max_size=depth)
+    ),
+    beta=st.integers(2, 60).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+    theta=st.one_of(
+        st.sampled_from(["0", "1-beta"]),
+        st.integers(1, 10**6).flatmap(
+            lambda s: st.integers(0, s - 1).map(lambda r: Fraction(r, s))
+        ),
+        st.tuples(st.booleans(), st.sampled_from([-1, 1]), st.integers(0, 500),
+                  st.sampled_from([-1, 0, 1])),
+    ),
+    guard=st.integers(2, 10**6).map(lambda d: Fraction(1, d)),
+    lo=st.integers(-300, 150),
+    length=st.integers(0, 500),
+    mode=st.sampled_from(["plain", "flipped", "mark_ambiguous"]),
+)
+def test_orbit_guard_thresholds_over_random_continued_fractions(
+    coeffs, beta, theta, guard, lo, length, mode
+):
+    params = CircleParams.from_cf(convergents(coeffs), beta, guard=guard)
+    if isinstance(theta, tuple):
+        theta = guard_edge_angle(params, lo, length, theta)
+    else:
+        theta = {"0": Fraction(0), "1-beta": 1 - beta}.get(theta, theta)
+    flags = {
+        "flipped": mode == "flipped",
+        "mark_ambiguous": mode == "mark_ambiguous",
+    }
+    expected = outcome(reference_orbit_bits, params, theta, lo, lo + length, **flags)
+    assert outcome(_orbit_bits, params, theta, lo, lo + length, **flags) == expected
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=8, max_size=25),
+    length=st.integers(1, 5000),
+)
+def test_circle_coding_at_zero_is_c_alpha_over_random_continued_fractions(coeffs, length):
+    # beta = alpha and theta = 0: the rotation coding is the characteristic
+    # word c_alpha, for every prefix the approximant resolves
+    cf = convergents(coeffs)
+    params = CircleParams.from_cf(cf, cf.value())
+    length = min(length, params.max_reliable_index())
+    assume(length >= 1)
+    window = circle_potential_window(params, Fraction(0), 1, length)
+    assert bits(window) == c_alpha_prefix(cf, length).to_text()

@@ -1,7 +1,16 @@
 import json
+import random
 
 import pytest
 
+from sturmspec import (
+    convergents,
+    gordon_membership,
+    nondecay_verify,
+    periodic_coefficients,
+    standard_words,
+    window_from_word,
+)
 from sturmspec.cli import build_parser, emit_report, main, run_experiment
 
 
@@ -150,7 +159,62 @@ class TestLyapunovTask:
         assert code == 2
 
 
+def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
+    """The certificates of a golden-mean ``gordon`` report, rebuilt with one
+    membership call and one non-decay call per energy."""
+    level, q_n = report["level"], report["q_n"]
+    c_bound = report["derived_constant"]["value"]
+    s_n = standard_words(convergents(periodic_coefficients([], [1], 40)), level).word(level)
+    window = window_from_word(s_n + s_n, coupling)
+    rng = random.Random(rng_seed)
+    seeds = []
+    while len(seeds) < seed_count:
+        x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
+        norm = (x * x + y * y) ** 0.5
+        if norm > 1e-3:
+            seeds.append((x / norm, y / norm))
+    certificates = []
+    for cert in report["certificates"]:
+        energy = cert["energy"]
+        member = gordon_membership(window, q_n, c_bound, [energy])
+        entry = {
+            "energy": energy,
+            "square_ok": member.square_ok,
+            "abs_trace": member.trace_samples[0][1],
+            "verdict": member.verdict,
+        }
+        if member.verdict:
+            rep = nondecay_verify(window, q_n, energy, seeds, c_bound=c_bound)
+            entry.update(
+                {"min_ratio": rep.min_ratio, "lower_bound": rep.lower_bound,
+                 "nondecay_ok": rep.ok}
+            )
+        certificates.append(entry)
+    return certificates
+
+
 class TestGordonTask:
+    @pytest.mark.parametrize(
+        "coupling, level, energies, seed_count, rng_seed",
+        [
+            (1.0, 4, "from-spectrum:8", 100, 0),
+            (1.0, 6, "from-spectrum:9", 30, 777),
+            # 7 lies outside the spectrum; only 2.2 earns a verdict
+            (3.0, 5, "-1,0.5,1.3,2.2,7", 50, 0),
+            (1.0, 4, "100", 5, 0),
+        ],
+        ids=["readme", "level-6", "explicit-energies", "no-verdict"],
+    )
+    def test_one_pass_matches_per_energy_loop(
+        self, coupling, level, energies, seed_count, rng_seed
+    ):
+        report = run_report(
+            ["gordon", "--alpha-period", ":1", "--lambda", str(coupling), "--level", str(level),
+             f"--energies={energies}", "--seeds", str(seed_count), "--rng-seed", str(rng_seed)]
+        )
+        expected = reference_gordon_certificates(report, coupling, seed_count, rng_seed)
+        assert json.dumps(report["certificates"]) == json.dumps(expected)
+
     def test_bundle_schema(self):
         report = run_report(
             [
@@ -289,6 +353,10 @@ class TestRefusedRuns:
              2, "coupling"),
             (["lyapunov", "--potential", "circle", "--alpha-period", ":1", "--beta", "1/4",
               "--energies", "0", "--lambda", "nan"], 2, "coupling"),
+            (["word", "--subst", "a:ab,b:a", "--seed", "z", "--length", "5"], 2, "--seed"),
+            (["word", "--subst", "a:ab,b:a", "--seed", "ab", "--length", "5"], 2, "--seed"),
+            (["gordon", "--alpha-period", ":1", "--level", "3", "--energies", "100",
+              "--seeds", "0"], 2, "--seeds"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

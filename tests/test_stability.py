@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from sturmspec import (
@@ -148,6 +149,48 @@ class TestNondecay:
             assert report.min_ratio == pytest.approx(min_ratio, rel=1e-12)
             assert report.max_identity_residual == pytest.approx(max_residual, rel=1e-12)
             assert report.seeds_tested == 50
+
+    def test_energy_array_matches_float_calls(
+        self, s4_square_window, proxy_energies, trace_constant
+    ):
+        rng = random.Random(31)
+        seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+        energies = np.array(proxy_energies[:12])
+        batch = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
+        assert batch.min_ratio.shape == batch.max_identity_residual.shape == (12,)
+        assert batch.seeds_tested == 40
+        for i, energy in enumerate(energies.tolist()):
+            single = nondecay_verify(s4_square_window, 5, energy, seeds, c_bound=trace_constant)
+            assert batch.energy[i] == single.energy
+            assert batch.min_ratio[i] == single.min_ratio
+            assert batch.max_identity_residual[i] == single.max_identity_residual
+            assert batch.ok[i] == single.ok
+            assert batch.lower_bound == single.lower_bound
+            min_ratio, max_residual = reference_nondecay(s4_square_window, 5, energy, seeds)
+            assert batch.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
+            assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
+
+    def test_energy_array_without_bound_uses_each_trace(self, s4_square_window, proxy_energies):
+        energies = np.array(proxy_energies[:6])
+        batch = nondecay_verify(s4_square_window, 5, energies, [(0.0, 1.0), (1.0, 2.0)])
+        for i, energy in enumerate(energies.tolist()):
+            single = nondecay_verify(s4_square_window, 5, energy, [(0.0, 1.0), (1.0, 2.0)])
+            assert batch.c_bound[i] == single.c_bound
+            assert batch.min_ratio[i] == single.min_ratio
+            assert batch.ok[i] == single.ok
+
+    def test_float_energy_gives_float_fields(self, s4_square_window, trace_constant):
+        report = nondecay_verify(s4_square_window, 5, 0.3, [(0.0, 1.0)], c_bound=trace_constant)
+        for value in (report.energy, report.c_bound, report.lower_bound, report.min_ratio,
+                      report.max_identity_residual):
+            assert type(value) is float
+        assert type(report.ok) is bool
+
+    def test_energy_over_bound_named(self):
+        # block "01": tr = E^2 - E - 2, so |tr| = 2 at E = 0 and 0 at E = 2
+        window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
+        with pytest.raises(CertificateError, match=r"E = 3\.0 "):
+            nondecay_verify(window, 2, np.array([2.0, 3.0, 4.0]), [(0.0, 1.0)], c_bound=3.0)
 
     def test_requires_square(self):
         window = window_from_word(Word.from_text("0110"), 1.0)
