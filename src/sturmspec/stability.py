@@ -21,6 +21,9 @@ from .transfer import iterate_solution, transfer_product
 from .words import Word, detect_square_prefix, frequency
 
 
+TRAJECTORY_ENTRIES = 2**16  # floats per non-decay trajectory (512 KB)
+
+
 def _window_word(window, k, n):
     """Word over the distinct values of the window slice [k, n]."""
     vals = window.slice_values(k, n)
@@ -76,9 +79,8 @@ class NondecayReport:
     1/(c_bound + 1); ``min_ratio`` is the worst case over the seeds and
     ``max_identity_residual`` the worst float residual of the two-block
     identity itself.  For a float energy every field is a float; for an
-    array of energies ``energy``, ``min_ratio`` and
-    ``max_identity_residual`` (and ``c_bound``, ``lower_bound`` when taken
-    from the traces) are arrays aligned with it, and ``ok`` is elementwise.
+    array ``energy``, ``min_ratio``, ``max_identity_residual`` (and the
+    bounds when taken from the traces) are aligned with it, ``ok`` too.
     """
 
     n: int
@@ -97,11 +99,11 @@ class NondecayReport:
 def nondecay_verify(window, n, energy, seeds, c_bound=None):
     """Check the non-decay inequality for all seeds at once on a square window.
 
-    ``energy`` is a float or a 1-d array; an array is broadcast against the
-    seeds, so one iteration covers every (energy, seed) pair.  Requires the
-    square condition at period n and, when ``c_bound`` is given,
-    |tr| <= c_bound at every energy (otherwise the measured trace itself is
-    used as the bound)."""
+    ``energy`` is a float or a 1-d array, broadcast against the seeds in
+    blocks of energies that keep each trajectory within TRAJECTORY_ENTRIES
+    floats.  Requires the square condition at period n and, when
+    ``c_bound`` is given, |tr| <= c_bound at every energy (otherwise the
+    measured trace itself is used as the bound)."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
@@ -122,22 +124,28 @@ def nondecay_verify(window, n, energy, seeds, c_bound=None):
             f"exceeds certified bound {c_bound:.6g}"
         )
     u0, u1 = np.asarray(seeds, dtype=float).T
-    # a trailing axis of length one broadcasts the energies against the seeds
-    traj = iterate_solution(window, energies[..., None], (u0, u1), n_max=2 * n)
-    tr = np.asarray(tr)[..., None]
-    norm0 = traj.vector_norm(0)
-    ratios = np.maximum(traj.vector_norm(n), traj.vector_norm(2 * n)) / norm0
-    # two-block identity residual, component-wise
-    residuals = np.maximum(
-        abs(traj.u[2 * n + 1] - tr * traj.u[n + 1] + traj.u[1]),
-        abs(traj.u[2 * n] - tr * traj.u[n] + traj.u[0]),
-    ) / np.maximum(norm0, 1.0)
+    flat_e, flat_tr = energies.reshape(-1, 1), np.reshape(tr, (-1, 1))
+    # Energies go in blocks, so a trajectory holds at most TRAJECTORY_ENTRIES
+    # floats however many energies there are; within a block the trailing
+    # axis of length one broadcasts the energies against the seeds.
+    block = max(1, TRAJECTORY_ENTRIES // (len(seeds) * (2 * n + 2)))
+    worst = np.empty((2, energies.size))  # min ratio, max identity residual
+    for lo in range(0, energies.size, block):
+        traj = iterate_solution(window, flat_e[lo:lo + block], (u0, u1), n_max=2 * n)
+        t, norm0 = flat_tr[lo:lo + block], traj.vector_norm(0)
+        ratios = np.maximum(traj.vector_norm(n), traj.vector_norm(2 * n)) / norm0
+        # two-block identity residual, component-wise
+        residuals = np.maximum(
+            abs(traj.u[2 * n + 1] - t * traj.u[n + 1] + traj.u[1]),
+            abs(traj.u[2 * n] - t * traj.u[n] + traj.u[0]),
+        ) / np.maximum(norm0, 1.0)
+        worst[:, lo:lo + block] = ratios.min(axis=-1), residuals.max(axis=-1)
     fields = {
         "energy": energies,
         "c_bound": c_bound,
         "lower_bound": 1.0 / (c_bound + 1.0),
-        "min_ratio": ratios.min(axis=-1),
-        "max_identity_residual": residuals.max(axis=-1),
+        "min_ratio": worst[0].reshape(energies.shape),
+        "max_identity_residual": worst[1].reshape(energies.shape),
     }
     if np.ndim(energy) == 0:
         fields = {k: float(v) for k, v in fields.items()}

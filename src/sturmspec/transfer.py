@@ -170,9 +170,8 @@ def sturmian_transfer(cf, coupling, energy, level):
 class SolutionTrajectory:
     """Solution of u(n+1) + u(n-1) + V(n) u(n) = E u(n), seeded by
     (u(0), u(1)) and iterated forward over the window.  The seed and each
-    u(k) are floats, or 1-d arrays with one entry per seed.  The energy is a
-    float or an array broadcast against the seeds: an energy column of
-    shape (m, 1) makes every u(k) past the seed an (m, seeds) array."""
+    u(k) are floats, or 1-d arrays with one entry per seed; an energy column
+    of shape (m, 1) makes every later u(k) an (m, seeds) array."""
 
     energy: float
     seed: tuple

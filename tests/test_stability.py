@@ -170,6 +170,31 @@ class TestNondecay:
             assert batch.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
             assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
 
+    def test_energy_blocks_match_one_pass_and_bound_the_trajectory(
+        self, s4_square_window, proxy_energies, trace_constant, monkeypatch
+    ):
+        import sturmspec.stability as stability
+
+        rng = random.Random(32)
+        seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
+        energies = np.array(proxy_energies[:11])
+        one_pass = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
+        sizes = []
+
+        def recording_iterate(*args, **kwargs):
+            traj = iterate_solution(*args, **kwargs)
+            sizes.append(sum(np.size(row) for row in traj.u[2:]))
+            return traj
+
+        # 40 seeds x 12 rows x 3 energies: the 11 energies go in 4 blocks
+        monkeypatch.setattr(stability, "TRAJECTORY_ENTRIES", 40 * 12 * 3)
+        monkeypatch.setattr(stability, "iterate_solution", recording_iterate)
+        blocked = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
+        assert len(sizes) == 4 and max(sizes) <= 40 * 12 * 3
+        assert blocked.min_ratio.tolist() == one_pass.min_ratio.tolist()
+        assert blocked.max_identity_residual.tolist() == one_pass.max_identity_residual.tolist()
+        assert blocked.ok.tolist() == one_pass.ok.tolist()
+
     def test_energy_array_without_bound_uses_each_trace(self, s4_square_window, proxy_energies):
         energies = np.array(proxy_energies[:6])
         batch = nondecay_verify(s4_square_window, 5, energies, [(0.0, 1.0), (1.0, 2.0)])
