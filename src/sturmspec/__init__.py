@@ -26,7 +26,6 @@ from .potentials import (
     PotentialWindow,
     constant_window,
     periodic_window,
-    window_from_values,
     window_from_word,
 )
 from .spectrum import (

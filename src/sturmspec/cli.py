@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -388,6 +389,7 @@ def emit_report(report, fmt):
     return buf.getvalue()
 
 
+@functools.cache  # main() runs many times per process in batch use
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="sturmspec",

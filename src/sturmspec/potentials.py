@@ -42,17 +42,8 @@ class PotentialWindow:
 
 
 def window_from_word(word, coupling, lo=1, provenance="word"):
-    """V(n) = coupling * symbol, aligned so the word starts at index ``lo``.
-
-    Intended for binary words; use ``window_from_values`` for a general
-    site-value map.
-    """
+    """V(n) = coupling * symbol, aligned so the word starts at index ``lo``."""
     vals = tuple(coupling * s for s in word.symbols)
-    return PotentialWindow(lo=lo, hi=lo + len(vals) - 1, values=vals, provenance=provenance)
-
-
-def window_from_values(values, lo=1, provenance="values"):
-    vals = tuple(float(v) for v in values)
     return PotentialWindow(lo=lo, hi=lo + len(vals) - 1, values=vals, provenance=provenance)
 
 

@@ -17,11 +17,8 @@ import numpy as np
 
 from .errors import CertificateError, InvalidInputError, WindowError
 from .sturmian import c_alpha_prefix, standard_words, window_coverage_check
-from .transfer import iterate_solution, transfer_product
+from .transfer import transfer_product
 from .words import Word, detect_square_prefix, frequency
-
-
-TRAJECTORY_ENTRIES = 2**16  # floats per non-decay trajectory (512 KB)
 
 
 def _window_word(window, k, n):
@@ -78,7 +75,8 @@ class NondecayReport:
     For every seed, r = max(||U(n)||, ||U(2n)||) / ||U(0)|| must stay above
     1/(c_bound + 1); ``min_ratio`` is the worst case over the seeds and
     ``max_identity_residual`` the worst float residual of the two-block
-    identity itself.  For a float energy every field is a float; for an
+    identity, with U(n) and U(2n) taken from the transfer products over
+    [1, n] and [1, 2n].  For a float energy every field is a float; for an
     array ``energy``, ``min_ratio``, ``max_identity_residual`` (and the
     bounds when taken from the traces) are aligned with it, ``ok`` too.
     """
@@ -96,56 +94,60 @@ class NondecayReport:
         return self.min_ratio >= self.lower_bound - 1e-9
 
 
+def _apply(state, u0, u1):
+    """U(k) = (u(k+1), u(k)) from the seed (u(0), u(1)) and the product over
+    [1, k]; an energy column of shape (m, 1) gives (m, seeds) arrays."""
+    a, b, c, d = (x * np.exp(state.log_scale) for x in state.m)
+    return a * u1 + b * u0, c * u1 + d * u0
+
+
 def nondecay_verify(window, n, energy, seeds, c_bound=None):
     """Check the non-decay inequality for all seeds at once on a square window.
 
-    ``energy`` is a float or a 1-d array, broadcast against the seeds in
-    blocks of energies that keep each trajectory within TRAJECTORY_ENTRIES
-    floats.  Requires the square condition at period n and, when
-    ``c_bound`` is given, |tr| <= c_bound at every energy (otherwise the
-    measured trace itself is used as the bound)."""
+    ``energy`` is a float or a 1-d array; U(n) and U(2n) are the transfer
+    products over [1, n] and [1, 2n] applied to the seeds.  Requires the
+    square condition at period n and, when ``c_bound`` is given,
+    |tr| <= c_bound at every energy (otherwise the measured trace itself is
+    used as the bound)."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
         raise WindowError(f"window must cover [1, {2 * n}]")
     if not seeds:
         raise InvalidInputError("need at least one seed")
+    u0, u1 = np.asarray(seeds, dtype=float).T
+    if np.any((u0 == 0) & (u1 == 0)):
+        raise InvalidInputError("degenerate zero seed")
     if not detect_square_prefix(_window_word(window, 1, 2 * n), n):
         raise CertificateError("window is not a square at this period")
     energies = np.asarray(energy, dtype=float)
-    tr = transfer_product(window, energy, 1, n).trace()
-    abs_tr = abs(tr)
+    # an (m, 1) column broadcasts the energies against the seeds; a float
+    # energy keeps the cocycle kernel's Python-float site loop
+    column = float(energies) if energies.ndim == 0 else energies.reshape(-1, 1)
+    block = transfer_product(window, column, 1, n)
+    tr = block.trace()
+    abs_tr = np.reshape(abs(tr), energies.shape)
     if c_bound is None:
         c_bound = abs_tr
     over = abs_tr > c_bound
     if np.any(over):
         raise CertificateError(
-            f"|trace| = {np.asarray(abs_tr)[over][0]:.6g} at E = {float(energies[over][0])!r} "
+            f"|trace| = {abs_tr[over][0]:.6g} at E = {float(energies[over][0])!r} "
             f"exceeds certified bound {c_bound:.6g}"
         )
-    u0, u1 = np.asarray(seeds, dtype=float).T
-    flat_e, flat_tr = energies.reshape(-1, 1), np.reshape(tr, (-1, 1))
-    # Energies go in blocks, so a trajectory holds at most TRAJECTORY_ENTRIES
-    # floats however many energies there are; within a block the trailing
-    # axis of length one broadcasts the energies against the seeds.
-    block = max(1, TRAJECTORY_ENTRIES // (len(seeds) * (2 * n + 2)))
-    worst = np.empty((2, energies.size))  # min ratio, max identity residual
-    for lo in range(0, energies.size, block):
-        traj = iterate_solution(window, flat_e[lo:lo + block], (u0, u1), n_max=2 * n)
-        t, norm0 = flat_tr[lo:lo + block], traj.vector_norm(0)
-        ratios = np.maximum(traj.vector_norm(n), traj.vector_norm(2 * n)) / norm0
-        # two-block identity residual, component-wise
-        residuals = np.maximum(
-            abs(traj.u[2 * n + 1] - t * traj.u[n + 1] + traj.u[1]),
-            abs(traj.u[2 * n] - t * traj.u[n] + traj.u[0]),
-        ) / np.maximum(norm0, 1.0)
-        worst[:, lo:lo + block] = ratios.min(axis=-1), residuals.max(axis=-1)
+    un1, un = _apply(block, u0, u1)
+    u2n1, u2n = _apply(transfer_product(window, column, 1, 2 * n), u0, u1)
+    norm0 = np.hypot(u1, u0)
+    ratios = np.maximum(np.hypot(un1, un), np.hypot(u2n1, u2n)) / norm0
+    # two-block identity residual, component-wise
+    residuals = np.maximum(abs(u2n1 - tr * un1 + u1), abs(u2n - tr * un + u0))
+    residuals /= np.maximum(norm0, 1.0)
     fields = {
         "energy": energies,
         "c_bound": c_bound,
         "lower_bound": 1.0 / (c_bound + 1.0),
-        "min_ratio": worst[0].reshape(energies.shape),
-        "max_identity_residual": worst[1].reshape(energies.shape),
+        "min_ratio": ratios.min(axis=-1).reshape(energies.shape),
+        "max_identity_residual": residuals.max(axis=-1).reshape(energies.shape),
     }
     if np.ndim(energy) == 0:
         fields = {k: float(v) for k, v in fields.items()}

@@ -171,7 +171,8 @@ class SolutionTrajectory:
     """Solution of u(n+1) + u(n-1) + V(n) u(n) = E u(n), seeded by
     (u(0), u(1)) and iterated forward over the window.  The seed and each
     u(k) are floats, or 1-d arrays with one entry per seed; an energy column
-    of shape (m, 1) makes every later u(k) an (m, seeds) array."""
+    of shape (m, 1) makes every later u(k) an (m, seeds) array.  Every row
+    u(0..top) is kept."""
 
     energy: float
     seed: tuple

@@ -379,6 +379,23 @@ class TestReportPlumbing:
         a.pop("wall_time_s"), b.pop("wall_time_s")
         assert a == b
 
+    def test_one_parser_serves_consecutive_runs(self, capsys):
+        assert build_parser() is build_parser()
+        with pytest.raises(SystemExit) as refused:
+            main(["gordon", "--alpha-period", ":1", "--level"])
+        assert refused.value.code == 2
+        capsys.readouterr()
+        for argv in (
+            ["spectrum", "--alpha-period", ":1", "--levels", "1..3"],
+            ["gordon", "--alpha-period", ":1", "--level", "3", "--seeds", "5"],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            fresh = run_experiment(build_parser.__wrapped__().parse_args(argv))
+            report = json.loads(out)
+            report.pop("wall_time_s"), fresh.pop("wall_time_s")
+            assert report == json.loads(emit_report(fresh, "json"))
+
     def test_config_echo_present(self):
         report = run_report(["word", "--model", "fibonacci", "--length", "5"])
         assert report["config"]["model"] == "fibonacci"

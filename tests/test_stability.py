@@ -1,13 +1,18 @@
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     Word,
     c_alpha_prefix,
     constant_window,
+    convergents,
     detect_square_prefix,
     gordon_membership,
     iterate_solution,
@@ -15,11 +20,12 @@ from sturmspec import (
     periodic_window,
     stability_measure_bound,
     standard_words,
+    sturmian_band_spectrum,
     trace_bound_scan,
     transfer_product,
     window_from_word,
 )
-from sturmspec.errors import CertificateError, WindowError
+from sturmspec.errors import CertificateError, InvalidInputError, WindowError
 from sturmspec.spectrum import band_samples, intersect_intervals
 
 
@@ -37,6 +43,26 @@ def reference_nondecay(window, n, energy, seeds):
         )
         max_residual = max(max_residual, residual / max(u0, 1.0))
     return min_ratio, max_residual
+
+
+def block_reference_residual(window, n, energy, seeds):
+    """max_identity_residual with U(n) = M U(0) and U(2n) = M2 U(0) per seed,
+    M and M2 the products over [1, n] and [1, 2n] at a float energy."""
+    m1 = transfer_product(window, energy, 1, n)
+    m2 = transfer_product(window, energy, 1, 2 * n)
+    tr = m1.trace()
+
+    def apply(state, u0, u1):
+        a, b, c, d = (x * np.exp(state.log_scale) for x in state.m)
+        return a * u1 + b * u0, c * u1 + d * u0
+
+    max_residual = 0.0
+    for u0, u1 in seeds:
+        un1, un = apply(m1, u0, u1)
+        u2n1, u2n = apply(m2, u0, u1)
+        residual = max(abs(u2n1 - tr * un1 + u1), abs(u2n - tr * un + u0))
+        max_residual = max(max_residual, residual / max(math.hypot(u1, u0), 1.0))
+    return max_residual
 
 
 @pytest.fixture(scope="module")
@@ -145,9 +171,10 @@ class TestNondecay:
             seeds.append((radius * math.cos(angle), radius * math.sin(angle)))
         for energy in proxy_energies[:10]:
             report = nondecay_verify(s4_square_window, 5, energy, seeds, c_bound=trace_constant)
-            min_ratio, max_residual = reference_nondecay(s4_square_window, 5, energy, seeds)
-            assert report.min_ratio == pytest.approx(min_ratio, rel=1e-12)
-            assert report.max_identity_residual == pytest.approx(max_residual, rel=1e-12)
+            min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
+            max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
+            assert report.min_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0)
+            assert report.max_identity_residual == pytest.approx(max_residual, rel=1e-12, abs=0)
             assert report.seeds_tested == 50
 
     def test_energy_array_matches_float_calls(
@@ -166,34 +193,26 @@ class TestNondecay:
             assert batch.max_identity_residual[i] == single.max_identity_residual
             assert batch.ok[i] == single.ok
             assert batch.lower_bound == single.lower_bound
-            min_ratio, max_residual = reference_nondecay(s4_square_window, 5, energy, seeds)
+            min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
             assert batch.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
+            max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
             assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
 
-    def test_energy_blocks_match_one_pass_and_bound_the_trajectory(
-        self, s4_square_window, proxy_energies, trace_constant, monkeypatch
-    ):
-        import sturmspec.stability as stability
-
+    def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
+        s12 = standard_words(golden_cf, 12).word(12)
+        window = window_from_word(s12 + s12, 1.0, provenance="square s_12^2")
         rng = random.Random(32)
         seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
-        energies = np.array(proxy_energies[:11])
-        one_pass = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
-        sizes = []
-
-        def recording_iterate(*args, **kwargs):
-            traj = iterate_solution(*args, **kwargs)
-            sizes.append(sum(np.size(row) for row in traj.u[2:]))
-            return traj
-
-        # 40 seeds x 12 rows x 3 energies: the 11 energies go in 4 blocks
-        monkeypatch.setattr(stability, "TRAJECTORY_ENTRIES", 40 * 12 * 3)
-        monkeypatch.setattr(stability, "iterate_solution", recording_iterate)
-        blocked = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
-        assert len(sizes) == 4 and max(sizes) <= 40 * 12 * 3
-        assert blocked.min_ratio.tolist() == one_pass.min_ratio.tolist()
-        assert blocked.max_identity_residual.tolist() == one_pass.max_identity_residual.tolist()
-        assert blocked.ok.tolist() == one_pass.ok.tolist()
+        energies = np.array(proxy_energies[:50])
+        tracemalloc.start()
+        try:
+            nondecay_verify(window, 233, energies, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 (energies, seeds) float arrays; a solution trajectory over the
+        # 2n = 466 sites would hold 468 of them
+        assert peak <= 16 * 50 * 40 * 8 + 64 * 1024
 
     def test_energy_array_without_bound_uses_each_trace(self, s4_square_window, proxy_energies):
         energies = np.array(proxy_energies[:6])
@@ -226,6 +245,68 @@ class TestNondecay:
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
         with pytest.raises(CertificateError):
             nondecay_verify(window, 2, 0.0, [(0.0, 1.0)], c_bound=1.5)
+
+    def test_zero_seed_refused(self):
+        window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
+        with pytest.raises(InvalidInputError, match="zero seed"):
+            nondecay_verify(window, 2, 0.0, [(1.0, 0.0), (0.0, 0.0)])
+
+
+def exact_min_squared_ratio(values, energy, seeds, n):
+    """min over the seeds of max(||U(n)||^2, ||U(2n)||^2) / ||U(0)||^2, and
+    tr M(E, 1, n), exactly from the float energy, sites and seeds."""
+    steps = [Fraction(energy) - Fraction(v) for v in values[: 2 * n]]
+    # floats are dyadic, so the largest denominator is a multiple of all:
+    # the site matrices are [[x, -scale], [scale, 0]] / scale with integer x
+    scale = max(f.denominator for f in steps)
+    a, b, c, d = 1, 0, 0, 1
+    blocks = []
+    for k, step in enumerate(steps, start=1):
+        x = step.numerator * (scale // step.denominator)
+        a, b, c, d = x * a - scale * c, x * b - scale * d, scale * a, scale * b
+        if k in (n, 2 * n):
+            blocks.append((a, b, c, d))
+    (a, b, c, d), (e, f, g, h) = blocks  # times scale**n and scale**(2n)
+    lift = scale ** (2 * n)
+    worst = None
+    for seed in seeds:
+        u0, u1 = (Fraction(u) for u in seed)
+        seed_scale = max(u0.denominator, u1.denominator)
+        w0, w1 = (u.numerator * (seed_scale // u.denominator) for u in (u0, u1))
+        top = max(
+            ((a * w1 + b * w0) ** 2 + (c * w1 + d * w0) ** 2) * lift,
+            (e * w1 + f * w0) ** 2 + (g * w1 + h * w0) ** 2,
+        )
+        ratio = Fraction(top, w0 * w0 + w1 * w1)
+        worst = ratio if worst is None else min(worst, ratio)
+    return worst / lift**2, Fraction(a + d, scale**n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=10, max_size=10),
+    coupling=st.floats(0.01, 5.0),
+    angles=st.lists(st.floats(0.0, 2 * math.pi), min_size=10, max_size=10),
+)
+def test_nondecay_accuracy_over_random_continued_fractions(coeffs, coupling, angles):
+    # q_10 >= 89, so the square has a period between 15 and 89; lambda stays
+    # >= 0.01 because as it goes to 0 the gaps close to rounding and the band
+    # spectrum refuses
+    cf = convergents(coeffs)
+    level = max(n for n in range(cf.depth + 1) if cf.q[n] <= 89)
+    n = cf.q[level]
+    s_n = standard_words(cf, level).word(level)
+    window = window_from_word(s_n + s_n, coupling)
+    bands = sturmian_band_spectrum(cf, coupling, level).bands
+    energies = band_samples(bands[:: max(1, len(bands) // 8)][:8], 1)
+    seeds = [(math.cos(a), math.sin(a)) for a in angles]
+    report = nondecay_verify(window, n, np.array(energies), seeds)
+    values = window.slice_values(1, 2 * n)
+    for i, energy in enumerate(energies):
+        squared, tr = exact_min_squared_ratio(values, energy, seeds, n)
+        assert report.min_ratio[i] == pytest.approx(math.sqrt(squared), rel=1e-6, abs=0)
+        floor = 1 / (abs(tr) + 1) - Fraction(1e-9)
+        assert report.ok[i] == (squared >= floor * floor)
 
 
 class TestCubeToSquare:
