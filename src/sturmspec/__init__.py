@@ -43,9 +43,7 @@ from .spectrum import (
 from .stability import (
     GordonCertificate,
     MeasureBoundReport,
-    NondecayReport,
-    gordon_membership,
-    nondecay_verify,
+    gordon_certificate,
     stability_measure_bound,
 )
 from .sturmian import (
@@ -63,7 +61,6 @@ from .transfer import (
     LyapunovEstimate,
     SolutionTrajectory,
     TransferState,
-    forward_lyapunov_batch,
     iterate_solution,
     lyapunov_estimate,
     sturmian_transfer,

@@ -38,7 +38,7 @@ from .spectrum import (
     sturmian_band_spectrum,
     trace_bound_scan,
 )
-from .stability import gordon_membership, nondecay_verify
+from .stability import gordon_certificate
 from .sturmian import (
     c_alpha_prefix,
     convergents,
@@ -246,20 +246,19 @@ def _task_gordon(args):
                 seeds.append((x / norm, y / norm))
                 break
 
-    cert = gordon_membership(window, q_n, c_bound, energies)
-    certificates = [
-        {"energy": e, "square_ok": cert.square_ok, "abs_trace": t,
-         "verdict": cert.square_ok and t <= c_bound}
-        for e, t in cert.trace_samples
-    ]
-    certified = [entry for entry in certificates if entry["verdict"]]
-    if certified:
-        rep = nondecay_verify(
-            window, q_n, np.array([entry["energy"] for entry in certified]), seeds,
-            c_bound=c_bound,
-        )
-        for entry, ratio, ok in zip(certified, rep.min_ratio.tolist(), rep.ok.tolist()):
-            entry.update({"min_ratio": ratio, "lower_bound": rep.lower_bound, "nondecay_ok": ok})
+    cert = gordon_certificate(window, q_n, c_bound, energies, seeds)
+    certificates = []
+    for energy, abs_trace, certified, ratio, nondecay_ok in zip(
+        cert.energy.tolist(), cert.abs_trace.tolist(), cert.certified.tolist(),
+        cert.min_ratio.tolist(), cert.nondecay_ok.tolist(),
+    ):
+        entry = {"energy": energy, "square_ok": cert.square_ok, "abs_trace": abs_trace,
+                 "verdict": certified}
+        if certified:
+            entry.update(
+                {"min_ratio": ratio, "lower_bound": cert.lower_bound, "nondecay_ok": nondecay_ok}
+            )
+        certificates.append(entry)
     return {
         "level": level,
         "q_n": q_n,
@@ -459,17 +458,16 @@ def main(argv=None):
     try:
         report = run_experiment(args)
         text = emit_report(report, args.format)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise InvalidInputError(f"cannot write {args.out}: {err.strerror}")
     except SturmSpecError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            print(f"error: cannot write {args.out}: {err}", file=sys.stderr)
-            return 1
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

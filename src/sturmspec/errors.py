@@ -52,9 +52,5 @@ class DivergenceError(InvalidInputError):
     """Substitution images never grow; no infinite fixed point exists."""
 
 
-class CertificateError(InvalidInputError):
-    """A stability check was invoked without its certified preconditions."""
-
-
 class ResolutionError(NumericError):
     """Band construction could not isolate the expected number of bands."""

@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
+from .potentials import constant_window, window_from_word
 from .sturmian import c_alpha_prefix, standard_words
-from .transfer import forward_lyapunov_batch, sturmian_transfer
+from .transfer import lyapunov_estimate, sturmian_transfer
 
 # Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
 # every eigenvalue within a small multiple of eps * ||H|| of the exact one,
@@ -38,10 +39,6 @@ CLOSED_GAP_EPS = 64
 # 300 MB peak on a 2-vCPU Xeon with OpenBLAS; level 19 (q = 6765) would
 # need about 1 GB.
 MAX_PERIOD = 5000
-
-
-def _site_values(word, coupling):
-    return [coupling * s for s in word.symbols]
 
 
 def _floquet_eigenvalues(values, corner):
@@ -100,7 +97,7 @@ def band_spectrum(word, coupling, level=None):
             f"{where}: period exceeds the dense eigensolver's limit of {MAX_PERIOD} "
             f"(O(q^2) memory, O(q^3) time)"
         )
-    values = np.array(_site_values(word, coupling), dtype=float)
+    values = np.array(window_from_word(word, coupling).values, dtype=float)
     edges = np.sort(
         np.concatenate([_floquet_eigenvalues(values, 1.0), _floquet_eigenvalues(values, -1.0)])
     )
@@ -284,14 +281,14 @@ def zero_lyapunov_check(cf, coupling, level, steps, gap_controls=4):
     gap_energies = [0.5 * (lo + hi) for lo, hi in gaps]
     gap_widths = [hi - lo for lo, hi in gaps]
 
-    values = _site_values(c_alpha_prefix(cf, steps), coupling)
-    gammas = forward_lyapunov_batch(values, in_energies + gap_energies)
+    window = window_from_word(c_alpha_prefix(cf, steps), coupling)
+    gammas = lyapunov_estimate(window, np.asarray(in_energies + gap_energies), steps).gamma_plus
     n_in = len(in_energies)
     in_part = tuple(zip(in_energies, gammas[:n_in].tolist()))
     gap_part = tuple(
         (e, w, g) for e, w, g in zip(gap_energies, gap_widths, gammas[n_in:].tolist())
     )
-    free_gamma = float(forward_lyapunov_batch([0.0] * steps, [0.0])[0])
+    free_gamma = float(lyapunov_estimate(constant_window(0.0, 1, steps), 0.0, steps).gamma_plus)
     return ZeroLyapunovReport(
         level=level,
         steps=steps,

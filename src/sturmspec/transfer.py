@@ -243,15 +243,3 @@ def lyapunov_estimate(window, energy, steps):
     return LyapunovEstimate(
         energy=energy, steps=steps, gamma_plus=gamma_plus, gamma_minus=gamma_minus
     )
-
-
-def forward_lyapunov_batch(values, energies):
-    """gamma+ estimates for many energies over one shared forward potential
-    V(1)..V(steps).
-
-    Returns a float array aligned with ``energies``.
-    """
-    steps = len(values)
-    if steps < 1:
-        raise InvalidInputError("empty potential")
-    return _product_over_values(values, np.asarray(energies, dtype=float)).log_norm() / steps

@@ -5,8 +5,7 @@ import pytest
 
 from sturmspec import (
     convergents,
-    gordon_membership,
-    nondecay_verify,
+    gordon_certificate,
     periodic_coefficients,
     standard_words,
     window_from_word,
@@ -161,7 +160,7 @@ class TestLyapunovTask:
 
 def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
     """The certificates of a golden-mean ``gordon`` report, rebuilt with one
-    membership call and one non-decay call per energy."""
+    certificate call per energy."""
     level, q_n = report["level"], report["q_n"]
     c_bound = report["derived_constant"]["value"]
     s_n = standard_words(convergents(periodic_coefficients([], [1], 40)), level).word(level)
@@ -174,20 +173,19 @@ def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
         if norm > 1e-3:
             seeds.append((x / norm, y / norm))
     certificates = []
-    for cert in report["certificates"]:
-        energy = cert["energy"]
-        member = gordon_membership(window, q_n, c_bound, [energy])
+    for row in report["certificates"]:
+        energy = row["energy"]
+        cert = gordon_certificate(window, q_n, c_bound, [energy], seeds)
         entry = {
             "energy": energy,
-            "square_ok": member.square_ok,
-            "abs_trace": member.trace_samples[0][1],
-            "verdict": member.verdict,
+            "square_ok": cert.square_ok,
+            "abs_trace": float(cert.abs_trace[0]),
+            "verdict": cert.verdict,
         }
-        if member.verdict:
-            rep = nondecay_verify(window, q_n, energy, seeds, c_bound=c_bound)
+        if cert.verdict:
             entry.update(
-                {"min_ratio": rep.min_ratio, "lower_bound": rep.lower_bound,
-                 "nondecay_ok": rep.ok}
+                {"min_ratio": float(cert.min_ratio[0]), "lower_bound": cert.lower_bound,
+                 "nondecay_ok": bool(cert.nondecay_ok[0])}
             )
         certificates.append(entry)
     return certificates
@@ -202,8 +200,12 @@ class TestGordonTask:
             # 7 lies outside the spectrum; only 2.2 earns a verdict
             (3.0, 5, "-1,0.5,1.3,2.2,7", 50, 0),
             (1.0, 4, "100", 5, 0),
+            # the [1, 21] product is finite at 1e10, the [1, 42] one is not
+            (1.0, 7, "1e10", 3, 0),
+            # q = 1: the one-site product keeps float entries
+            (1.0, 0, "from-spectrum:8", 3, 0),
         ],
-        ids=["readme", "level-6", "explicit-energies", "no-verdict"],
+        ids=["readme", "level-6", "explicit-energies", "no-verdict", "huge-energy", "level-0"],
     )
     def test_one_pass_matches_per_energy_loop(
         self, coupling, level, energies, seed_count, rng_seed
@@ -357,6 +359,8 @@ class TestRefusedRuns:
             (["word", "--subst", "a:ab,b:a", "--seed", "ab", "--length", "5"], 2, "--seed"),
             (["gordon", "--alpha-period", ":1", "--level", "3", "--energies", "100",
               "--seeds", "0"], 2, "--seeds"),
+            (["spectrum", "--alpha-period", ":1", "--levels", "3", "--out", "/nonexistent/x"],
+             2, "/nonexistent/x"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

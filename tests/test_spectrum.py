@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sturmspec import (
@@ -11,16 +12,18 @@ from sturmspec import (
     convergents,
     intersect_intervals,
     interval_measure,
+    lyapunov_estimate,
     measure_and_intersect,
+    periodic_window,
     standard_words,
     sturmian_band_spectrum,
     sturmian_transfer,
     trace_bound_scan,
     union_intervals,
+    window_from_word,
     zero_lyapunov_check,
 )
 from sturmspec.errors import InvalidInputError, ResolutionError
-from sturmspec.spectrum import _site_values
 from sturmspec.transfer import _product_over_values
 
 
@@ -64,7 +67,7 @@ class TestBandSpectrum:
                 assert -2 - abs(spec.coupling) <= lo <= hi <= 2 + abs(spec.coupling)
 
     def test_edges_hit_trace_two(self, golden_cf, fib_spectra):
-        values = _site_values(standard_words(golden_cf, 8).word(8), 1.0)
+        values = window_from_word(standard_words(golden_cf, 8).word(8), 1.0).values
         for lo, hi in fib_spectra[8].bands:
             assert abs(abs(_site_loop_trace(values, lo)) - 2.0) < 1e-8
             assert abs(abs(_site_loop_trace(values, hi)) - 2.0) < 1e-8
@@ -76,7 +79,7 @@ class TestBandSpectrum:
         # 1% of the narrower of the adjacent band and gap.
         level, coupling = 14, 10.0
         spec = sturmian_band_spectrum(golden_cf, coupling, level)
-        values = _site_values(standard_words(golden_cf, level).word(level), coupling)
+        values = window_from_word(standard_words(golden_cf, level).word(level), coupling).values
         bands = spec.bands
         assert spec.band_count == golden_cf.q[level] == 610
         for i, (lo, hi) in enumerate(bands):
@@ -119,7 +122,7 @@ def test_band_structure_over_random_continued_fractions(coeffs, coupling):
     cf = convergents(coeffs)
     level = max(n for n in range(cf.depth + 1) if cf.q[n] <= 300)
     spec = sturmian_band_spectrum(cf, coupling, level)
-    values = _site_values(standard_words(cf, level).word(level), coupling)
+    values = window_from_word(standard_words(cf, level).word(level), coupling).values
     assert spec.band_count == cf.q[level]
     for lo, hi in spec.bands:
         assert lo < hi
@@ -127,6 +130,29 @@ def test_band_structure_over_random_continued_fractions(coeffs, coupling):
     for lo, hi in spec.gaps():
         assert lo < hi
         assert abs(_site_loop_trace(values, 0.5 * (lo + hi))) > 2.0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=2, max_size=12),
+    coupling=st.floats(0.0, 10.0, exclude_min=True),
+)
+def test_nesting_over_random_continued_fractions(coeffs, coupling):
+    # sigma_{k+1} lies in sigma_k union sigma_{k-1} for k >= 1 (Suto 1987),
+    # up to the eigensolver's error, a few eps * ||H||
+    cf = convergents(coeffs)
+    top = max(n for n in range(cf.depth + 1) if cf.q[n] <= 300)
+    try:
+        bands = [sturmian_band_spectrum(cf, coupling, k).bands for k in range(top + 1)]
+    except ResolutionError:
+        # gaps of order the coupling close to rounding and are refused
+        assert coupling < 1e-6
+        reject()
+    tol = 4 * np.finfo(float).eps * (2.0 + coupling)
+    for k in range(1, top):
+        union = union_intervals(bands[k], bands[k - 1])
+        for lo, hi in bands[k + 1]:
+            assert any(u_lo - tol <= lo and hi <= u_hi + tol for u_lo, u_hi in union)
 
 
 class TestIntervalArithmetic:
@@ -225,9 +251,8 @@ class TestZeroLyapunov:
     def test_word_ten_gap_control(self):
         # the central gap of the two-band word "10": gamma at E = 0.5 is
         # (1/2) arccosh(|E^2 - E - 2| / 2) = 0.2493 for the periodic chain
-        from sturmspec import forward_lyapunov_batch
-
-        gamma = forward_lyapunov_batch([1.0, 0.0] * 50000, [0.5])[0]
+        window = periodic_window(Word.from_text("10"), 1.0, 1, 10**5)
+        gamma = lyapunov_estimate(window, np.array([0.5]), 10**5).gamma_plus[0]
         assert gamma >= 0.1
         assert gamma == pytest.approx(0.5 * math.acosh(2.25 / 2), abs=1e-3)
 

@@ -14,9 +14,8 @@ from sturmspec import (
     constant_window,
     convergents,
     detect_square_prefix,
-    gordon_membership,
+    gordon_certificate,
     iterate_solution,
-    nondecay_verify,
     periodic_window,
     stability_measure_bound,
     standard_words,
@@ -25,7 +24,7 @@ from sturmspec import (
     transfer_product,
     window_from_word,
 )
-from sturmspec.errors import CertificateError, InvalidInputError, WindowError
+from sturmspec.errors import InvalidInputError, WindowError
 from sturmspec.spectrum import band_samples, intersect_intervals
 
 
@@ -82,45 +81,70 @@ def s4_square_window(golden_cf):
     return window_from_word(s4 + s4, 1.0, provenance="square s_4^2")
 
 
+def assert_not_certified(cert, i):
+    assert not cert.certified[i]
+    assert math.isnan(cert.min_ratio[i]) and math.isnan(cert.max_identity_residual[i])
+    assert not cert.nondecay_ok[i]
+
+
 class TestGordonMembership:
+    """The square test and the trace bound of ``gordon_certificate``."""
+
     def test_periodic_zero_one_by_hand(self):
         # block "01" at E = 0: A(1) A(0) = [[-1, 1], [0, -1]], trace -2
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
-        cert = gordon_membership(window, 2, 2.0, [0.0])
+        cert = gordon_certificate(window, 2, 2.0, [0.0], [(0.0, 1.0)])
         assert cert.square_ok
-        assert cert.trace_samples[0][1] == pytest.approx(2.0, abs=1e-12)
+        assert cert.abs_trace[0] == pytest.approx(2.0, abs=1e-12)
+        assert cert.certified[0]
         assert cert.verdict
 
     def test_non_square_window(self):
         window = window_from_word(Word.from_text("0110"), 1.0)
-        cert = gordon_membership(window, 2, 10.0, [0.0])
+        cert = gordon_certificate(window, 2, 10.0, [0.0], [(0.0, 1.0)])
         assert not cert.square_ok
         assert not cert.verdict
 
     def test_trace_violation_flagged(self):
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
-        cert = gordon_membership(window, 2, 1.0, [0.0])  # |tr| = 2 > 1
+        cert = gordon_certificate(window, 2, 1.0, [0.0], [(0.0, 1.0)])  # |tr| = 2 > 1
         assert cert.square_ok and not cert.verdict
 
     def test_s4_square_at_proxy_energies(
         self, s4_square_window, proxy_energies, trace_constant
     ):
-        cert = gordon_membership(s4_square_window, 5, trace_constant, proxy_energies)
+        cert = gordon_certificate(
+            s4_square_window, 5, trace_constant, proxy_energies, [(0.0, 1.0)]
+        )
         assert cert.square_ok
         assert cert.verdict
 
     def test_window_too_small(self):
         window = window_from_word(Word.from_text("0101"), 1.0)
         with pytest.raises(WindowError):
-            gordon_membership(window, 3, 2.0, [0.0])
+            gordon_certificate(window, 3, 2.0, [0.0], [(0.0, 1.0)])
+
+    @pytest.mark.parametrize(
+        "n, energies, seeds, needle",
+        [
+            (0, [0.0], [(0.0, 1.0)], "period"),
+            (2, [], [(0.0, 1.0)], "energies"),
+            (2, [0.0], [], "seed"),
+        ],
+        ids=["period", "no-energies", "no-seeds"],
+    )
+    def test_bad_input_refused(self, n, energies, seeds, needle):
+        window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
+        with pytest.raises(InvalidInputError, match=needle):
+            gordon_certificate(window, n, 2.0, energies, seeds)
 
 
 class TestNondecay:
     def test_free_potential_norm_preserved(self):
         window = constant_window(0.0, 1, 20)
-        report = nondecay_verify(window, 4, 0.0, [(0.0, 1.0)], c_bound=2.0)
-        assert report.min_ratio == pytest.approx(1.0, abs=1e-12)
-        assert report.ok
+        cert = gordon_certificate(window, 4, 2.0, [0.0], [(0.0, 1.0)])
+        assert cert.min_ratio[0] == pytest.approx(1.0, abs=1e-12)
+        assert cert.nondecay_ok[0]
 
     def test_random_seeds_on_s4_square(
         self, s4_square_window, proxy_energies, trace_constant
@@ -130,36 +154,26 @@ class TestNondecay:
         for _ in range(100):
             angle = rng.uniform(0, 2 * math.pi)
             seeds.append((math.cos(angle), math.sin(angle)))
-        for energy in proxy_energies[:10]:
-            report = nondecay_verify(
-                s4_square_window, 5, energy, seeds, c_bound=trace_constant
-            )
-            assert report.ok
-            assert report.max_identity_residual < 1e-9
+        cert = gordon_certificate(s4_square_window, 5, trace_constant, proxy_energies[:10], seeds)
+        assert cert.certified.all()
+        assert cert.nondecay_ok.all()
+        assert np.all(cert.max_identity_residual < 1e-9)
 
     def test_most_contracted_direction(
         self, s4_square_window, proxy_energies, trace_constant
     ):
         # seed along the smallest singular direction of the block matrix:
         # the bound is seed-uniform, so even this one cannot dip below it
-        import numpy as np
-
-        from sturmspec import transfer_product
-
         for energy in proxy_energies[:5]:
             state = transfer_product(s4_square_window, energy, 1, 5)
             m = np.array(state.m).reshape(2, 2) * math.exp(state.log_scale)
             _, _, vt = np.linalg.svd(m)
             worst = vt[-1]  # right singular vector of the smallest value
             # U(0) = (u(1), u(0)) = worst means seed = (u(0), u(1))
-            report = nondecay_verify(
-                s4_square_window,
-                5,
-                energy,
-                [(worst[1], worst[0])],
-                c_bound=trace_constant,
+            cert = gordon_certificate(
+                s4_square_window, 5, trace_constant, [energy], [(worst[1], worst[0])]
             )
-            assert report.ok
+            assert cert.nondecay_ok[0]
 
     def test_all_seeds_at_once_match_per_seed_loop(
         self, s4_square_window, proxy_energies, trace_constant
@@ -170,33 +184,48 @@ class TestNondecay:
             angle, radius = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 10)
             seeds.append((radius * math.cos(angle), radius * math.sin(angle)))
         for energy in proxy_energies[:10]:
-            report = nondecay_verify(s4_square_window, 5, energy, seeds, c_bound=trace_constant)
+            cert = gordon_certificate(s4_square_window, 5, trace_constant, [energy], seeds)
             min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
             max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
-            assert report.min_ratio == pytest.approx(min_ratio, rel=1e-12, abs=0)
-            assert report.max_identity_residual == pytest.approx(max_residual, rel=1e-12, abs=0)
-            assert report.seeds_tested == 50
+            assert cert.min_ratio[0] == pytest.approx(min_ratio, rel=1e-12, abs=0)
+            assert cert.max_identity_residual[0] == pytest.approx(max_residual, rel=1e-12, abs=0)
+            assert cert.seeds_tested == 50
 
     def test_energy_array_matches_float_calls(
         self, s4_square_window, proxy_energies, trace_constant
     ):
+        # one call over 12 energies against one call per energy
         rng = random.Random(31)
         seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
         energies = np.array(proxy_energies[:12])
-        batch = nondecay_verify(s4_square_window, 5, energies, seeds, c_bound=trace_constant)
+        batch = gordon_certificate(s4_square_window, 5, trace_constant, energies, seeds)
         assert batch.min_ratio.shape == batch.max_identity_residual.shape == (12,)
         assert batch.seeds_tested == 40
         for i, energy in enumerate(energies.tolist()):
-            single = nondecay_verify(s4_square_window, 5, energy, seeds, c_bound=trace_constant)
-            assert batch.energy[i] == single.energy
-            assert batch.min_ratio[i] == single.min_ratio
-            assert batch.max_identity_residual[i] == single.max_identity_residual
-            assert batch.ok[i] == single.ok
+            single = gordon_certificate(s4_square_window, 5, trace_constant, [energy], seeds)
+            assert batch.energy[i] == single.energy[0]
+            assert batch.abs_trace[i] == single.abs_trace[0]
+            assert batch.min_ratio[i] == single.min_ratio[0]
+            assert batch.max_identity_residual[i] == single.max_identity_residual[0]
+            assert batch.nondecay_ok[i] == single.nondecay_ok[0]
             assert batch.lower_bound == single.lower_bound
             min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
             assert batch.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
             max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
             assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
+
+    def test_one_site_period(self):
+        # n = 1 keeps float entries in the one-site product
+        window = constant_window(1.0, 1, 2)
+        energies = [0.5, 1.0, 2.5, 9.0]
+        seeds = [(0.0, 1.0), (1.0, 0.0), (0.6, -0.8), (-2.0, 0.5), (0.3, 0.3)]
+        cert = gordon_certificate(window, 1, 2.0, energies, seeds)
+        assert cert.certified.tolist() == [True, True, True, False]
+        for i, energy in enumerate(energies[:3]):
+            min_ratio, _ = reference_nondecay(window, 1, energy, seeds)
+            assert cert.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
+            assert cert.nondecay_ok[i]
+        assert_not_certified(cert, 3)
 
     def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
         s12 = standard_words(golden_cf, 12).word(12)
@@ -204,52 +233,68 @@ class TestNondecay:
         rng = random.Random(32)
         seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
         energies = np.array(proxy_energies[:50])
+        c_bound = float(np.max(abs(transfer_product(window, energies, 1, 233).trace())))
         tracemalloc.start()
         try:
-            nondecay_verify(window, 233, energies, seeds)
+            cert = gordon_certificate(window, 233, c_bound, energies, seeds)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert cert.certified.all()
         # 16 (energies, seeds) float arrays; a solution trajectory over the
         # 2n = 466 sites would hold 468 of them
         assert peak <= 16 * 50 * 40 * 8 + 64 * 1024
 
-    def test_energy_array_without_bound_uses_each_trace(self, s4_square_window, proxy_energies):
-        energies = np.array(proxy_energies[:6])
-        batch = nondecay_verify(s4_square_window, 5, energies, [(0.0, 1.0), (1.0, 2.0)])
-        for i, energy in enumerate(energies.tolist()):
-            single = nondecay_verify(s4_square_window, 5, energy, [(0.0, 1.0), (1.0, 2.0)])
-            assert batch.c_bound[i] == single.c_bound
-            assert batch.min_ratio[i] == single.min_ratio
-            assert batch.ok[i] == single.ok
+    def test_own_trace_as_bound_certifies(self, s4_square_window, proxy_energies):
+        # the trace bound is inclusive: each energy's own |tr| certifies it,
+        # and the ratios do not depend on the bound
+        energies = proxy_energies[:6]
+        seeds = [(0.0, 1.0), (1.0, 2.0)]
+        batch = gordon_certificate(s4_square_window, 5, np.inf, energies, seeds)
+        for i, energy in enumerate(energies):
+            own = float(batch.abs_trace[i])
+            single = gordon_certificate(s4_square_window, 5, own, [energy], seeds)
+            assert single.verdict
+            assert single.lower_bound == 1.0 / (own + 1.0)
+            assert single.min_ratio[0] == batch.min_ratio[i]
+            assert single.nondecay_ok[0]
 
-    def test_float_energy_gives_float_fields(self, s4_square_window, trace_constant):
-        report = nondecay_verify(s4_square_window, 5, 0.3, [(0.0, 1.0)], c_bound=trace_constant)
-        for value in (report.energy, report.c_bound, report.lower_bound, report.min_ratio,
-                      report.max_identity_residual):
+    def test_fields_are_arrays_and_verdict_is_bool(self, s4_square_window, trace_constant):
+        cert = gordon_certificate(s4_square_window, 5, trace_constant, [0.3, 0.5], [(0.0, 1.0)])
+        for value in (cert.energy, cert.abs_trace, cert.certified, cert.min_ratio,
+                      cert.max_identity_residual, cert.nondecay_ok):
+            assert value.shape == (2,)
+        for value in (cert.c_bound, cert.lower_bound):
             assert type(value) is float
-        assert type(report.ok) is bool
+        assert type(cert.verdict) is bool and type(cert.square_ok) is bool
+        assert cert.lower_bound == 1.0 / (trace_constant + 1.0)
+        assert cert.provenance == "square s_4^2"
 
     def test_energy_over_bound_named(self):
-        # block "01": tr = E^2 - E - 2, so |tr| = 2 at E = 0 and 0 at E = 2
+        # block "01": tr = E^2 - E - 2, so |tr| = 0, 4, 10 at E = 2, 3, 4
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
-        with pytest.raises(CertificateError, match=r"E = 3\.0 "):
-            nondecay_verify(window, 2, np.array([2.0, 3.0, 4.0]), [(0.0, 1.0)], c_bound=3.0)
+        cert = gordon_certificate(window, 2, 3.0, [2.0, 3.0, 4.0], [(0.0, 1.0)])
+        assert cert.abs_trace.tolist() == pytest.approx([0.0, 4.0, 10.0], abs=1e-12)
+        assert cert.certified.tolist() == [True, False, False]
+        assert cert.nondecay_ok[0] and not cert.verdict
+        for i in (1, 2):
+            assert_not_certified(cert, i)
 
     def test_requires_square(self):
         window = window_from_word(Word.from_text("0110"), 1.0)
-        with pytest.raises(CertificateError):
-            nondecay_verify(window, 2, 0.0, [(0.0, 1.0)])
+        cert = gordon_certificate(window, 2, 10.0, [0.0, 1.0], [(0.0, 1.0)])
+        for i in (0, 1):
+            assert_not_certified(cert, i)
 
     def test_requires_trace_bound(self):
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
-        with pytest.raises(CertificateError):
-            nondecay_verify(window, 2, 0.0, [(0.0, 1.0)], c_bound=1.5)
+        cert = gordon_certificate(window, 2, 1.5, [0.0], [(0.0, 1.0)])
+        assert_not_certified(cert, 0)
 
     def test_zero_seed_refused(self):
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
         with pytest.raises(InvalidInputError, match="zero seed"):
-            nondecay_verify(window, 2, 0.0, [(1.0, 0.0), (0.0, 0.0)])
+            gordon_certificate(window, 2, 2.0, [0.0], [(1.0, 0.0), (0.0, 0.0)])
 
 
 def exact_min_squared_ratio(values, energy, seeds, n):
@@ -300,13 +345,16 @@ def test_nondecay_accuracy_over_random_continued_fractions(coeffs, coupling, ang
     bands = sturmian_band_spectrum(cf, coupling, level).bands
     energies = band_samples(bands[:: max(1, len(bands) // 8)][:8], 1)
     seeds = [(math.cos(a), math.sin(a)) for a in angles]
-    report = nondecay_verify(window, n, np.array(energies), seeds)
     values = window.slice_values(1, 2 * n)
-    for i, energy in enumerate(energies):
+    for energy in energies:
+        # the energy's own |tr| as the bound: the floor is 1/(|tr| + 1)
+        own = float(abs(transfer_product(window, np.array([[energy]]), 1, n).trace()[0, 0]))
+        cert = gordon_certificate(window, n, own, [energy], seeds)
+        assert cert.certified[0]
         squared, tr = exact_min_squared_ratio(values, energy, seeds, n)
-        assert report.min_ratio[i] == pytest.approx(math.sqrt(squared), rel=1e-6, abs=0)
+        assert cert.min_ratio[0] == pytest.approx(math.sqrt(squared), rel=1e-6, abs=0)
         floor = 1 / (abs(tr) + 1) - Fraction(1e-9)
-        assert report.ok[i] == (squared >= floor * floor)
+        assert cert.nondecay_ok[0] == (squared >= floor * floor)
 
 
 class TestCubeToSquare:
@@ -351,14 +399,13 @@ class TestMeasureBound:
         assert report.cube_density.denominator == 10**4 - 3 * golden_cf.q[3] + 1
 
     def test_certificate_soundness(self, golden_cf, fib_spectra, trace_constant):
-        # wherever membership certifies (n, C, E), the non-decay ratio holds
+        # wherever the trace test certifies (n, C, E), the non-decay ratio holds
         rng = random.Random(7)
         s5 = standard_words(golden_cf, 5).word(5)
         window = window_from_word(s5 + s5, 1.0)
         bands = intersect_intervals(fib_spectra[8].bands, fib_spectra[9].bands)
         seeds = [(math.cos(a), math.sin(a)) for a in (rng.uniform(0, 7) for _ in range(20))]
-        for energy in band_samples(bands, 1)[:10]:
-            cert = gordon_membership(window, 8, trace_constant, [energy])
-            if cert.verdict:
-                report = nondecay_verify(window, 8, energy, seeds, c_bound=trace_constant)
-                assert report.min_ratio >= report.lower_bound - 1e-9
+        cert = gordon_certificate(window, 8, trace_constant, band_samples(bands, 1)[:10], seeds)
+        assert cert.certified.any()
+        assert np.all(cert.min_ratio[cert.certified] >= cert.lower_bound - 1e-9)
+        assert np.array_equal(cert.nondecay_ok, cert.certified)

@@ -10,7 +10,6 @@ from sturmspec import (
     Word,
     c_alpha_prefix,
     constant_window,
-    forward_lyapunov_batch,
     iterate_solution,
     lyapunov_estimate,
     sturmian_transfer,
@@ -248,15 +247,6 @@ class TestLyapunov:
             est = lyapunov_estimate(window, energy, 2000)
             assert est.gamma_plus >= -1e-6
 
-    def test_batch_matches_scalar(self, golden_cf):
-        values = [1.0 * s for s in c_alpha_prefix(golden_cf, 5000).symbols]
-        energies = [-2.0, -0.5, 0.0, 1.0, 2.8]
-        batch = forward_lyapunov_batch(values, energies)
-        window = window_from_word(c_alpha_prefix(golden_cf, 5000), 1.0)
-        for e, gamma in zip(energies, batch):
-            est = lyapunov_estimate(window, e, 5000)
-            assert gamma == pytest.approx(est.gamma_plus, rel=1e-12, abs=1e-12)
-
     def test_forward_only_window(self, golden_cf):
         window = window_from_word(c_alpha_prefix(golden_cf, 2000), 1.0)
         est = lyapunov_estimate(window, 0.0, 2000)
@@ -281,9 +271,8 @@ class TestLongProducts:
             assert abs(state.det_residual()) < 1e-10
 
     def test_stabilization_under_doubling(self, golden_cf):
-        word = c_alpha_prefix(golden_cf, 2 * 10**4)
-        values = [1.0 * s for s in word.symbols]
-        for energy in (0.0, 1.0, 2.5):
-            g1 = forward_lyapunov_batch(values[: 10**4], [energy])[0]
-            g2 = forward_lyapunov_batch(values, [energy])[0]
-            assert abs(g2 - g1) < 3 / math.sqrt(10**4)
+        window = window_from_word(c_alpha_prefix(golden_cf, 2 * 10**4), 1.0)
+        energies = np.array([0.0, 1.0, 2.5])
+        g1 = lyapunov_estimate(window, energies, 10**4).gamma_plus
+        g2 = lyapunov_estimate(window, energies, 2 * 10**4).gamma_plus
+        assert np.all(abs(g2 - g1) < 3 / math.sqrt(10**4))
