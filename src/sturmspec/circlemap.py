@@ -59,6 +59,11 @@ class CircleParams:
     def max_reliable_index(self):
         return self.alpha.denominator // PRECISION_MARGIN
 
+    def boundaries(self):
+        """The indicator boundaries by name: ``at_0`` is 0 and
+        ``at_1minusbeta`` is 1-beta."""
+        return {AT_ZERO: Fraction(0), AT_ONE_MINUS_BETA: 1 - self.beta}
+
 
 def _require_precision(params, max_abs_index):
     # n = 0 never involves alpha, so it is always reliable.
@@ -130,11 +135,8 @@ def boundary_limit_window(params, which, lo, hi):
     The left limit flips the endpoint inclusion, so the value at n = 0 is
     coupling for ``at_0`` and 0 for ``at_1minusbeta``.
     """
-    if which == AT_ZERO:
-        theta = Fraction(0)
-    elif which == AT_ONE_MINUS_BETA:
-        theta = 1 - params.beta
-    else:
+    theta = params.boundaries().get(which)
+    if theta is None:
         raise InvalidInputError(f"unknown boundary {which!r}")
     bits = _orbit_bits(params, theta, lo, hi, flipped=True)
     return PotentialWindow(
@@ -147,21 +149,25 @@ def boundary_limit_window(params, which, lo, hi):
 
 def discontinuity_indices(params, theta, range_n):
     """All n in [-range_n, range_n] whose orbit point hits 0 or 1-beta
-    exactly (under the rational approximant)."""
+    exactly (under the rational approximant p/q).
+
+    n p/q + theta = c (mod 1) is the congruence n p = q (c - theta) (mod q).
+    It is solvable only when q (c - theta) is an integer, and then its
+    solutions are n0 + k q with n0 = q (c - theta) p^-1 mod q.
+    """
     theta = Fraction(theta)
     if range_n < 0:
         raise InvalidInputError("range_n must be >= 0")
     _require_precision(params, range_n)
-    denom = lcm(params.alpha.denominator, theta.denominator, params.beta.denominator)
-    step = (params.alpha.numerator * (denom // params.alpha.denominator)) % denom
-    cut = denom - params.beta.numerator * (denom // params.beta.denominator)
-    x = (step * -range_n + theta.numerator * (denom // theta.denominator)) % denom
+    p, q = params.alpha.numerator, params.alpha.denominator
     hits = []
-    for n in range(-range_n, range_n + 1):
-        if x == 0 or x == cut:
-            hits.append(n)
-        x = (x + step) % denom
-    return hits
+    for c in params.boundaries().values():
+        shift = q * (c - theta)
+        if shift.denominator == 1:
+            n0 = shift.numerator * pow(p, -1, q) % q
+            # the least n = n0 (mod q) with n >= -range_n
+            hits.extend(range(n0 - (n0 + range_n) // q * q, range_n + 1, q))
+    return sorted(hits)
 
 
 def first_disagreement(params, theta1, theta2, horizon):
@@ -245,9 +251,8 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
     f1 = {w.symbols for w in factor_set(prefix_word, L)}
 
     G, g = theta_grid_size, params.guard
-    cuts = sorted(
-        {(b - n * params.alpha) % 1 for n in range(1, L + 1) for b in (0, 1 - params.beta)}
-    )
+    boundaries = params.boundaries().values()
+    cuts = sorted({(b - n * params.alpha) % 1 for n in range(1, L + 1) for b in boundaries})
     f2 = set()
     kept = 0
     for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + 1]):
@@ -257,8 +262,7 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
         if count > 0:
             kept += count
             f2.add(bytes(_orbit_bits(params, Fraction(k_lo % G, G), 1, L)))
-    for which in (AT_ZERO, AT_ONE_MINUS_BETA):
-        theta = Fraction(0) if which == AT_ZERO else 1 - params.beta
+    for theta in boundaries:
         bits = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
         for i in range(len(bits) - L + 1):
             chunk = bits[i : i + L]

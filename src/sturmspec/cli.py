@@ -33,6 +33,7 @@ from .circlemap import (
 from .errors import InvalidInputError, SturmSpecError
 from .potentials import constant_window, window_from_word
 from .spectrum import (
+    TRACE_BOUND_HEADROOM,
     band_samples,
     measure_and_intersect,
     sturmian_band_spectrum,
@@ -233,7 +234,7 @@ def _task_gordon(args):
         "value": c_bound,
         "proxy_level": proxy,
         "sampled_sup": scan.overall_sup,
-        "headroom": 0.1,
+        "headroom": TRACE_BOUND_HEADROOM,
     }
 
     rng = random.Random(args.rng_seed)
@@ -302,18 +303,18 @@ def _task_appendix(args):
 
     n_top = args.range_n
     agreement = {}
-    for which, theta in ((AT_ZERO, Fraction(0)), (AT_ONE_MINUS_BETA, 1 - params.beta)):
-        skip = set(discontinuity_indices(params, theta, n_top))
-        plain = circle_potential_window(params, theta, 1, n_top)
-        limit = boundary_limit_window(params, which, 1, n_top)
+    for which, theta in params.boundaries().items():
+        hits = discontinuity_indices(params, theta, n_top)
+        plain = circle_potential_window(params, theta, 1, n_top).values
+        limit = boundary_limit_window(params, which, 1, n_top).values
         mismatches = [
             n
-            for n in range(1, n_top + 1)
-            if n not in skip and plain.value(n) != limit.value(n)
+            for n, (u, v) in enumerate(zip(plain, limit), start=1)
+            if u != v and n not in hits
         ]
         agreement[which] = {
             "mismatches_off_discontinuities": len(mismatches),
-            "discontinuities_in_range": sorted(n for n in skip if 1 <= n <= n_top),
+            "discontinuities_in_range": [n for n in hits if n >= 1],
             "ok": not mismatches,
         }
 
@@ -455,6 +456,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # before Python 3.13, argparse parses the option value "--" as []
+    if [] in vars(args).values():
+        parser.error("an option value cannot be '--'")
     try:
         report = run_experiment(args)
         text = emit_report(report, args.format)

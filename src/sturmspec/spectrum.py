@@ -40,6 +40,10 @@ CLOSED_GAP_EPS = 64
 # need about 1 GB.
 MAX_PERIOD = 5000
 
+# Relative margin of the certificate trace bound over the sampled sup: the
+# sup is taken over finitely many proxy energies, so it can only undershoot.
+TRACE_BOUND_HEADROOM = 0.1
+
 
 def _floquet_eigenvalues(values, corner):
     """Eigenvalues of the periodic (corner=+1) or antiperiodic (corner=-1)
@@ -200,9 +204,9 @@ class TraceBoundReport:
     sup_per_level: tuple[float, ...]  # index k = 0..level_max
     overall_sup: float
 
-    def derived_constant(self, headroom=0.1):
+    def derived_constant(self):
         """Trace-bound constant for certificates: sampled sup plus headroom."""
-        return self.overall_sup * (1.0 + headroom)
+        return self.overall_sup * (1.0 + TRACE_BOUND_HEADROOM)
 
 
 def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=None):

@@ -19,9 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, WindowError
-from .sturmian import c_alpha_prefix, standard_words, window_coverage_check
+from .sturmian import window_coverage_check
 from .transfer import transfer_product
-from .words import frequency
 
 
 @dataclass(frozen=True)
@@ -139,20 +138,6 @@ class MeasureBoundReport:
     bound_ok: bool | None  # None when the window check failed
     shortfall: bool  # cube never occurs in the prefix
 
-    def to_dict(self):
-        return {
-            "level": self.level,
-            "q_n": self.q_n,
-            "prefix_length": self.prefix_length,
-            "cube_count": self.cube_count,
-            "cube_density": str(self.cube_density),
-            "product": float(self.product),
-            "window_ok": self.window_ok,
-            "lower_bound": float(self.lower_bound),
-            "bound_ok": self.bound_ok,
-            "shortfall": self.shortfall,
-        }
-
 
 def stability_measure_bound(cf, level, prefix_length):
     """Estimate q_n * d(s_n^3) by exact counting in the limit-word prefix.
@@ -168,25 +153,25 @@ def stability_measure_bound(cf, level, prefix_length):
     q_next = cf.q[level + 1]
     if prefix_length < 10 * q_next:
         raise WindowError(f"prefix must be >= 10 q_(n+1) = {10 * q_next}")
-    prefix = c_alpha_prefix(cf, prefix_length)
-    cube = standard_words(cf, level).word(level) * 3
-    freq = frequency(prefix, cube)
     # One occurrence *starting* per window is all the counting argument
     # needs: disjoint windows each contribute a start, so the density
     # clears 1/window up to a boundary term.
     coverage = window_coverage_check(cf, level, prefix_length)
     window_ok = coverage.all_windows_contain_start
-    product = q_n * freq.density
+    count = coverage.cube_occurrences
+    # overlapping occurrences of s_n^3 over the prefix's 3 q_n-site windows
+    density = Fraction(count, prefix_length - 3 * q_n + 1)
+    product = q_n * density
     lower = Fraction(1, 7) - Fraction(2 * q_n, prefix_length)
     return MeasureBoundReport(
         level=level,
         q_n=q_n,
         prefix_length=prefix_length,
-        cube_count=freq.occurrence_count,
-        cube_density=freq.density,
+        cube_count=count,
+        cube_density=density,
         product=product,
         window_ok=window_ok,
         lower_bound=lower,
         bound_ok=(product >= lower) if window_ok else None,
-        shortfall=freq.occurrence_count == 0,
+        shortfall=count == 0,
     )

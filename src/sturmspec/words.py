@@ -50,10 +50,6 @@ class Word:
             )
 
     @classmethod
-    def from_symbols(cls, symbols, alphabet_size):
-        return cls(bytes(symbols), alphabet_size)
-
-    @classmethod
     def from_text(cls, text, letters="01"):
         """Parse a display string, e.g. ``'10110'`` or ``'abaab'``."""
         try:

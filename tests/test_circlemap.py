@@ -95,6 +95,25 @@ def reference_orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=Fa
     return bits
 
 
+def reference_discontinuity_indices(params, theta, range_n):
+    """``discontinuity_indices`` by walking every orbit point over the common
+    denominator, the walk the congruence mod q replaced."""
+    theta = Fraction(theta)
+    if range_n < 0:
+        raise InvalidInputError("range_n must be >= 0")
+    _require_precision(params, range_n)
+    denom = lcm(params.alpha.denominator, theta.denominator, params.beta.denominator)
+    step = params.alpha.numerator * (denom // params.alpha.denominator)
+    cut = denom - params.beta.numerator * (denom // params.beta.denominator)
+    x = (-step * range_n + theta.numerator * (denom // theta.denominator)) % denom
+    hits = []
+    for n in range(-range_n, range_n + 1):
+        if x == 0 or x == cut:
+            hits.append(n)
+        x = (x + step) % denom
+    return hits
+
+
 def outcome(fn, *args, **kwargs):
     """The result, or the error's type (with the index of a boundary hit)."""
     try:
@@ -193,6 +212,10 @@ class TestDiscontinuities:
             quarter_params, 1 - quarter_params.beta, 200
         )
         assert 0 in hits
+
+    def test_hits_on_both_boundaries_come_sorted(self, sturmian_params):
+        # beta = alpha: n = 0 lands on 0 and n = -1 on 1 - alpha = 1 - beta
+        assert discontinuity_indices(sturmian_params, Fraction(0), 10) == [-1, 0]
 
     def test_generic_theta_empty(self, quarter_params):
         assert discontinuity_indices(quarter_params, Fraction(13, 9973), 500) == []
@@ -328,6 +351,37 @@ def test_orbit_guard_thresholds_over_random_continued_fractions(
     }
     expected = outcome(reference_orbit_bits, params, theta, lo, lo + length, **flags)
     assert outcome(_orbit_bits, params, theta, lo, lo + length, **flags) == expected
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    coeffs=st.integers(3, 25).flatmap(
+        lambda depth: st.lists(st.integers(1, 5), min_size=depth, max_size=depth)
+    ),
+    beta=st.integers(2, 60).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q))
+    ),
+    span=st.integers(0, 3000),
+    theta=st.one_of(
+        # (on 1-beta rather than 0, index, whole turns added)
+        st.tuples(st.booleans(), st.integers(0, 6000), st.integers(-2, 2)),
+        st.integers(1, 10**6).flatmap(
+            lambda s: st.integers(0, s - 1).map(lambda r: Fraction(r, s))
+        ),
+        st.tuples(st.integers(-3 * 10**6, 3 * 10**6), st.integers(1, 10**6)).map(
+            lambda t: Fraction(*t)
+        ),
+    ),
+)
+def test_discontinuity_congruence_matches_orbit_walk(coeffs, beta, span, theta):
+    params = CircleParams.from_cf(convergents(coeffs), beta)
+    range_n = span % (min(params.max_reliable_index(), 3000) + 1)
+    if isinstance(theta, tuple):
+        on_cut, index, turns = theta
+        n = index % (2 * range_n + 1) - range_n
+        theta = ((1 - beta if on_cut else 0) - n * params.alpha) % 1 + turns
+    expected = outcome(reference_discontinuity_indices, params, theta, range_n)
+    assert outcome(discontinuity_indices, params, theta, range_n) == expected
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     convergents,
@@ -295,6 +299,15 @@ class TestHullAndAppendix:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize("option", ["--L=--", "--beta=--", "--lambda=--"])
+    def test_double_dash_value_exits_two(self, option, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["hull-check", "--alpha-period", ":1", "--beta=1/4", "--L=4", option])
+        assert refused.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith("error: an option value cannot be '--'")
+
     def test_beta_out_of_range(self, capsys):
         code, _, err = run_cli(
             ["hull-check", "--alpha-period", ":1", "--beta", "1.5", "--L", "4"], capsys
@@ -370,6 +383,71 @@ class TestRefusedRuns:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert needle in lines[0]
+
+
+def int_text(lo, hi):
+    # hypothesis favours integers near lo; mirrored, it favours hi
+    return st.integers(lo, hi).map(lambda k: str(lo + hi - k))
+
+
+SMALL_FRACTION_TEXT = st.one_of(
+    st.integers(2, 70).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}")),
+    st.integers(1, 999).map(lambda k: f"0.{k:03d}"),
+    st.builds(lambda m, e: f"{m}e-{e}", st.integers(1, 9), st.integers(1, 8)),
+)
+# in-range values per option, with sizes small enough for a fast run
+CIRCLE_OPTIONS = {
+    "--beta": SMALL_FRACTION_TEXT,
+    "--precision": int_text(1, 10**9).map(lambda d: f"1/{d}") | SMALL_FRACTION_TEXT,
+    "--lambda": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "--cf-depth": int_text(1, 60),
+    "--L": int_text(1, 30),
+    "--grid": int_text(1, 10**9),
+    "--prefix": int_text(1, 3000),
+}
+APPENDIX_OPTIONS = {
+    "--range-n": int_text(1, 3000),
+    "--theta-samples": int_text(1, 50),
+}
+# malformed or out-of-range values, any of which may go to any option
+EDGE_TEXT = st.sampled_from(
+    ["", " ", "x", "--", "1/0", "0x10", "1e", "nan", "inf", "1e400", "0", "-0", "-1",
+     "-3/2", "1", "3/2", "1.5", "70", "2e9"]
+)
+
+
+@st.composite
+def circle_argv(draw):
+    task = draw(st.sampled_from(["appendix", "hull-check"]))
+    options = dict(CIRCLE_OPTIONS, **(APPENDIX_OPTIONS if task == "appendix" else {}))
+    values = {flag: draw(strategy) for flag, strategy in options.items()}
+    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=3)):
+        values[flag] = None  # left out: the default, or a missing required option
+    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
+        values[flag] = draw(EDGE_TEXT)
+    argv = [task, "--alpha-period", ":1"]
+    for flag, value in values.items():
+        if value is not None:
+            argv.append(f"{flag}={value}")  # "=" keeps "-1" a value, not a flag
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=circle_argv())
+def test_circle_task_argv_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as refused:  # argparse rejects the option value
+            code = refused.code
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert json.loads(out.getvalue())["task"] == argv[0]
+    else:
+        assert out.getvalue() == ""
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
 
 
 class TestReportPlumbing:
