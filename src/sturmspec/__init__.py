@@ -63,6 +63,7 @@ from .transfer import (
     TransferState,
     iterate_solution,
     lyapunov_estimate,
+    sturmian_tower,
     sturmian_transfer,
     transfer_product,
 )

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .circlemap import (
     discontinuity_indices,
     hull_factor_comparison,
 )
-from .errors import InvalidInputError, SturmSpecError
+from .errors import DepthError, InvalidInputError, SturmSpecError
 from .potentials import constant_window, window_from_word
 from .spectrum import (
     TRACE_BOUND_HEADROOM,
@@ -61,7 +62,20 @@ CSV_HEADERS = {
 }
 
 
+# Largest decimal exponent a fraction option takes: Fraction("1e-N") builds
+# 10**N, whose cost grows faster than N, and every later step of exact orbit
+# arithmetic carries its N digits.  A spelled-out decimal reaches no further:
+# Python refuses integer strings longer than 4300 digits by default.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def _parse_fraction(text, name):
+    exponent = re.search(r"e[-+]?([\d_]+)", text, re.IGNORECASE)
+    digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+        raise InvalidInputError(
+            f"invalid {name}: {text!r} has a decimal exponent beyond {MAX_DECIMAL_EXPONENT}"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -91,18 +105,22 @@ def _circle_params(args):
     return CircleParams(alpha=cf.value(), beta=beta, coupling=args.coupling, guard=guard)
 
 
-def _parse_levels(text):
+def _parse_levels(text, depth):
+    """Levels from a comma list of ``n`` and ``a..b`` tokens, each endpoint
+    in 0..depth; a range is checked before it is expanded."""
     levels = []
     for token in text.split(","):
         token = token.strip()
+        if not token:
+            continue
+        lo, dots, hi = token.partition("..")
         try:
-            if ".." in token:
-                lo, _, hi = token.partition("..")
-                levels.extend(range(int(lo), int(hi) + 1))
-            elif token:
-                levels.append(int(token))
+            ends = (int(lo), int(hi)) if dots else (int(lo), int(lo))
         except ValueError:
             raise InvalidInputError(f"bad level token {token!r} in {text!r}")
+        if not all(0 <= end <= depth for end in ends):
+            raise DepthError(f"level token {token!r} outside 0..{depth} (the CF depth)")
+        levels.extend(range(ends[0], ends[1] + 1))
     if not levels:
         raise InvalidInputError(f"no levels in {text!r}")
     return levels
@@ -168,7 +186,7 @@ def _task_word(args):
 
 def _task_spectrum(args):
     cf = _resolve_cf(args)
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, cf.depth)
     rows = []
     prev = None
     for level in levels:

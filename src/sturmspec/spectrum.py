@@ -8,9 +8,15 @@ entries 1, corner entries +1) and tr M(E) = -2 exactly at those of the
 antiperiodic one (corner entries -1).  The 2q eigenvalues, sorted together
 and taken in pairs, are the band edges.  A gap narrower than the closed-gap
 tolerance, which sits at the eigensolver's error scale, cannot be told from
-touching bands and is refused.  The dense eigensolver costs O(q^3) time and
-O(q^2) memory, which limits this route to periods of a few thousand; longer
-periods are refused (MAX_PERIOD).
+touching bands and is refused.
+
+A period word whose reversal is one of its rotations has a mirror,
+V(m - j) = V(j) (mod q); every standard word does, being a product of two
+palindromes (Hof-Knill-Simon, CMP 174, 1995).  The mirror splits each of the
+two Hamiltonians into two blocks of about q/2 sites, so the dense
+eigensolver does about a quarter of the O(q^3) work of the full matrices; a
+word without a mirror is one block per corner.  The cost still limits this
+route to periods of a few thousand; longer periods are refused (MAX_PERIOD).
 
 The almost sure spectrum itself has no finite description; throughout, the
 intersection of two consecutive approximant spectra serves as its proxy and
@@ -27,17 +33,17 @@ import numpy as np
 from .errors import InvalidInputError, ResolutionError
 from .potentials import constant_window, window_from_word
 from .sturmian import c_alpha_prefix, standard_words
-from .transfer import lyapunov_estimate, sturmian_transfer
+from .transfer import lyapunov_estimate, sturmian_tower
 
 # Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
 # every eigenvalue within a small multiple of eps * ||H|| of the exact one,
 # and ||H|| <= 2 + max|V|.
 CLOSED_GAP_EPS = 64
 
-# Longest period the dense eigensolver is given: at the limit each q x q
-# matrix takes 200 MB.  Golden level 18 (q = 4181) takes about 9 s with a
-# 300 MB peak on a 2-vCPU Xeon with OpenBLAS; level 19 (q = 6765) would
-# need about 1 GB.
+# Longest period the eigensolver is given: at the limit each mirror block
+# takes 50 MB (a full q x q matrix would take 200 MB).  On a 2-vCPU Xeon with
+# OpenBLAS, golden level 18 (q = 4181) takes about 1.4 s with a 100 MB peak,
+# and a mirrored q = 5000 word about 3.4 s with a 130 MB peak.
 MAX_PERIOD = 5000
 
 # Relative margin of the certificate trace bound over the sampled sup: the
@@ -45,17 +51,80 @@ MAX_PERIOD = 5000
 TRACE_BOUND_HEADROOM = 0.1
 
 
-def _floquet_eigenvalues(values, corner):
-    """Eigenvalues of the periodic (corner=+1) or antiperiodic (corner=-1)
-    Hamiltonian of one period: tr M(E) = 2 * corner exactly at these E."""
-    h = np.diag(values)
-    i = np.arange(len(values) - 1)
-    h[i, i + 1] = h[i + 1, i] = 1.0
-    # the corner bond wraps the period; for q = 2 it adds to the hopping
-    # entries, and for q = 1 it lands twice on the diagonal: V_0 + 2 * corner
-    h[0, -1] += corner
-    h[-1, 0] += corner
-    return np.linalg.eigvalsh(h)
+def _mirror_axis(symbols):
+    """The m with symbols[(m - j) % q] == symbols[j] for every j, or None.
+
+    A period word has a mirror exactly when its reversal is one of its
+    rotations, reversed(w) = (w + w)[k : k + q]; then m = k + q - 1 (mod q).
+    """
+    q = len(symbols)
+    k = (symbols + symbols).find(symbols[::-1])
+    return None if k < 0 else (k + q - 1) % q
+
+
+def _edge_eigenvalues(symbols, values):
+    """The 2q eigenvalues, sorted, of the periodic and antiperiodic
+    Hamiltonians of one period (module docstring): tr M(E) = +2 at the
+    first, -2 at the second.
+
+    Both Hamiltonians commute with an involution S, a signed permutation of
+    the sites, so each splits into the blocks B = A^T H A on the S = +1 and
+    S = -1 eigenspaces.  With the mirror m of the word, S e_j = +-e_{m-j}:
+    the reflection itself for the periodic corner, and for the antiperiodic
+    one the reflection followed by a sign flip of sites 0..m, which moves
+    the twisted bond back to (q-1, 0).  A pair {j, m-j} gives one column to
+    each block, (e_j +- e_{m-j}) / sqrt 2 with the sign of S; a fixed site
+    gives the column e_j to the block of its sign only.  Without a mirror S
+    is the identity and each corner is one block.
+    """
+    q = len(values)
+    site = np.arange(q)
+    m = _mirror_axis(symbols)
+    partner = site if m is None else (m - site) % q
+    # the sites whose sign the antiperiodic S flips
+    flipped = site <= m if m is not None else np.zeros(q, dtype=bool)
+    lead, trail, fixed = site < partner, site > partner, site == partner
+    # Rows in block order: the fixed sites the antiperiodic S flips, one lead
+    # site per pair, the other fixed sites.  Each block is then a contiguous
+    # slice of rows.
+    low, high = site[fixed & flipped], site[fixed & ~flipped]
+    pairs = site[lead]
+    rows = np.concatenate([low, pairs, high])
+    size = rows.size
+    col = np.empty(q, dtype=np.intp)
+    col[rows] = np.arange(size)
+    col[partner[pairs]] = col[pairs]
+    # B[col(r), col(j)] sums w_r H[r, j] a_j over the neighbours j = r-1,
+    # r, r+1 of each row site r, where a_j is the site's entry in its
+    # column and w_r = 1 / a_r turns (H A)[r] into the row of A^T H A.
+    # On the periodic corner's S = +1 block, a_j is 1 on a fixed site and
+    # 1/sqrt 2 on a paired one.
+    nbrs = (rows + np.array([[-1], [0], [1]])) % q
+    hop = np.ones((3, size))
+    hop[1] = values[rows]
+    scale = np.where(fixed, 1.0, np.sqrt(0.5))
+    base = (hop * scale[nbrs] / scale[rows]).ravel()
+    index = (np.arange(size) * size + col[nbrs]).ravel()
+    # the S = -1 blocks negate the trailing member of each pair; the
+    # antiperiodic corner negates the wrap bond, and its S also the
+    # trailing members it flips
+    to_odd = np.where(trail[nbrs], -1.0, 1.0).ravel()
+    wrap = np.zeros((3, size), dtype=bool)
+    wrap[0] = rows == 0
+    wrap[2] = rows == q - 1
+    to_anti = np.where(wrap ^ (trail & flipped)[nbrs], -1.0, 1.0).ravel()
+    n_low, n_pairs = low.size, pairs.size
+    blocks = (  # periodic S = +1 and -1, then antiperiodic S = +1 and -1
+        (base, slice(0, size)),
+        (base * to_odd, slice(n_low, n_low + n_pairs)),
+        (base * to_anti, slice(n_low, size)),
+        (base * to_anti * to_odd, slice(0, n_low + n_pairs)),
+    )
+    eigenvalues = []
+    for weights, keep in blocks:
+        block = np.bincount(index, weights, size * size).reshape(size, size)
+        eigenvalues.append(np.linalg.eigvalsh(block[keep, keep]))
+    return np.sort(np.concatenate(eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -83,6 +152,14 @@ class BandSpectrum:
         ]
 
 
+def _refuse_long_period(q, where):
+    if q > MAX_PERIOD:
+        raise ResolutionError(
+            f"{where}: period exceeds the dense eigensolver's limit of {MAX_PERIOD} "
+            f"(O(q^2) memory, O(q^3) time)"
+        )
+
+
 def band_spectrum(word, coupling, level=None):
     """Bands {E : |tr M(E)| <= 2} of the word taken as a periodic potential.
 
@@ -96,15 +173,9 @@ def band_spectrum(word, coupling, level=None):
     if not math.isfinite(coupling):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     where = f"level {level}, q={q}" if level is not None else f"q={q}"
-    if q > MAX_PERIOD:
-        raise ResolutionError(
-            f"{where}: period exceeds the dense eigensolver's limit of {MAX_PERIOD} "
-            f"(O(q^2) memory, O(q^3) time)"
-        )
+    _refuse_long_period(q, where)
     values = np.array(window_from_word(word, coupling).values, dtype=float)
-    edges = np.sort(
-        np.concatenate([_floquet_eigenvalues(values, 1.0), _floquet_eigenvalues(values, -1.0)])
-    )
+    edges = _edge_eigenvalues(word.symbols, values)
     lo, hi = edges[0::2], edges[1::2]
     tol = CLOSED_GAP_EPS * np.finfo(float).eps * (2.0 + float(np.max(np.abs(values))))
     gaps = lo[1:] - hi[:-1]
@@ -183,6 +254,8 @@ def band_samples(intervals, per_band=3):
 
 def sturmian_band_spectrum(cf, coupling, level):
     """Band spectrum of the level-``level`` standard word."""
+    if 0 <= level <= cf.depth:  # refused before the tower spells the word out
+        _refuse_long_period(cf.q[level], f"level {level}, q={cf.q[level]}")
     word = standard_words(cf, level).word(level)
     return band_spectrum(word, coupling, level=level)
 
@@ -226,11 +299,8 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
     energies = band_samples(proxy_bands, samples_per_band)
     if not energies:
         raise ResolutionError("proxy spectrum intersection is empty")
-    sample_array = np.asarray(energies)
-    sups = [
-        float(np.max(abs(sturmian_transfer(cf, coupling, sample_array, k).trace())))
-        for k in range(level_max + 1)
-    ]
+    tower = sturmian_tower(cf, coupling, np.asarray(energies), level_max)
+    sups = [float(np.max(abs(state.trace()))) for state in tower[1:]]
     return TraceBoundReport(
         level_max=level_max,
         proxy_level=proxy,

@@ -144,26 +144,29 @@ def transfer_product(window, energy, k, n):
     return _product_over_values(window.slice_values(k, n), energy)
 
 
-def sturmian_transfer(cf, coupling, energy, level):
-    """Transfer matrix over the standard word s_level via the word recursion
+def sturmian_tower(cf, coupling, energy, level):
+    """Transfer matrices [M(s_{-1}), M(s_0), ..., M(s_level)] over the
+    standard words, from one pass of the word recursion
     s_n = s_{n-1}^{a_n} s_{n-2}, i.e. M(s_n) = M(s_{n-2}) M(s_{n-1})^{a_n}.
 
-    Equal (up to rounding) to the explicit product over the spelled-out word.
+    Each is equal (up to rounding) to the explicit product over the
+    spelled-out word.
     """
     if level < -1:
         raise InvalidInputError("level must be >= -1")
     if level > cf.depth:
         raise DepthError(f"level {level} exceeds CF depth {cf.depth}")
-    m_prev = site_state(energy, coupling * 1.0)  # s_{-1} = "1"
-    if level == -1:
-        return m_prev
-    m_cur = site_state(energy, 0.0)  # s_0 = "0"
-    if level == 0:
-        return m_cur
-    m_prev, m_cur = m_cur, multiply(m_prev, state_power(m_cur, cf.coefficient(1) - 1))
-    for n in range(2, level + 1):
-        m_prev, m_cur = m_cur, multiply(m_prev, state_power(m_cur, cf.coefficient(n)))
-    return m_cur
+    tower = [site_state(energy, coupling * 1.0), site_state(energy, 0.0)]  # "1", "0"
+    for n in range(1, level + 1):
+        power = cf.coefficient(n) - (n == 1)  # s_1 = s_0^{a_1 - 1} s_{-1}
+        tower.append(multiply(tower[-2], state_power(tower[-1], power)))
+    return tower[: level + 2]
+
+
+def sturmian_transfer(cf, coupling, energy, level):
+    """Transfer matrix over the standard word s_level: the last matrix of
+    ``sturmian_tower``."""
+    return sturmian_tower(cf, coupling, energy, level)[-1]
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from sturmspec import (
     window_from_word,
 )
 from sturmspec.cli import build_parser, emit_report, main, run_experiment
+from sturmspec.errors import InvalidInputError
 
 
 def run_cli(argv, capsys):
@@ -374,6 +377,16 @@ class TestRefusedRuns:
               "--seeds", "0"], 2, "--seeds"),
             (["spectrum", "--alpha-period", ":1", "--levels", "3", "--out", "/nonexistent/x"],
              2, "/nonexistent/x"),
+            (["spectrum", "--alpha-period", ":1", "--levels", "0..41"], 2, "0..41"),
+            (["spectrum", "--alpha-period", ":1", "--levels=-1..3"], 2, "-1..3"),
+            (["spectrum", "--alpha-period", ":1", "--levels", "3.."], 2, "3.."),
+            (["spectrum", "--alpha-period", ":1", "--levels", "25"], 3, "q=121393"),
+            (["hull-check", "--alpha-period", ":1", "--beta", "1e-4301", "--L", "4",
+              "--prefix", "100"], 2, "exponent"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--precision", "1E+4301"],
+             2, "exponent"),
+            (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--precision", "1e1_0000"],
+             2, "exponent"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
@@ -383,6 +396,33 @@ class TestRefusedRuns:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert needle in lines[0]
+
+
+def test_level_range_refused_before_expansion(capsys):
+    # a range past the CF depth is refused from its endpoints, without
+    # building the 3 million levels it spells
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--alpha-period", ":1", "--levels", "41..3000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "41..3000000" in capsys.readouterr().err
+    assert peak < 2**20
+
+
+def test_fraction_exponent_bound():
+    from sturmspec.cli import MAX_DECIMAL_EXPONENT, _parse_fraction
+
+    assert _parse_fraction(f"1e-{MAX_DECIMAL_EXPONENT}", "beta").denominator == (
+        10**MAX_DECIMAL_EXPONENT
+    )
+    assert _parse_fraction("25e-0002", "beta") == Fraction(1, 4)
+    # each of these stays cheap where the bound is missing, and fails instead
+    for text in (f"1e-{MAX_DECIMAL_EXPONENT + 1}", "1e-99999", "1e1_0000", "1e" + "9" * 5000):
+        with pytest.raises(InvalidInputError, match="exponent"):
+            _parse_fraction(text, "beta")
 
 
 def int_text(lo, hi):
@@ -432,9 +472,34 @@ def circle_argv(draw):
     return argv
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(argv=circle_argv())
-def test_circle_task_argv_fuzz(argv):
+LEVEL_TEXT = st.one_of(
+    int_text(0, 12),
+    st.builds(lambda a, b: f"{a}..{b}", st.integers(0, 12), st.integers(0, 12)),
+    st.lists(int_text(0, 12), min_size=1, max_size=3).map(",".join),
+)
+SPECTRUM_OPTIONS = {
+    "--levels": LEVEL_TEXT,
+    "--lambda": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "--cf-depth": int_text(1, 60),
+}
+
+
+@st.composite
+def spectrum_argv(draw):
+    values = {flag: draw(strategy) for flag, strategy in SPECTRUM_OPTIONS.items()}
+    for flag in draw(st.sets(st.sampled_from(sorted(SPECTRUM_OPTIONS)), max_size=1)):
+        values[flag] = None
+    for flag in draw(st.sets(st.sampled_from(sorted(SPECTRUM_OPTIONS)), max_size=2)):
+        values[flag] = draw(EDGE_TEXT | st.sampled_from(["0..41", "1..100000", "3..", "25"]))
+    argv = ["spectrum", "--alpha-period", ":1"]
+    for flag, value in values.items():
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+def _assert_exit_contract(argv):
+    """One JSON report and exit 0, or one error line and a documented code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -448,6 +513,18 @@ def test_circle_task_argv_fuzz(argv):
         assert out.getvalue() == ""
         assert "Traceback" not in err.getvalue()
         assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=circle_argv())
+def test_circle_task_argv_fuzz(argv):
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=spectrum_argv())
+def test_spectrum_task_argv_fuzz(argv):
+    _assert_exit_contract(argv)
 
 
 class TestReportPlumbing:

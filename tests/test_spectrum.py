@@ -24,6 +24,7 @@ from sturmspec import (
     zero_lyapunov_check,
 )
 from sturmspec.errors import InvalidInputError, ResolutionError
+from sturmspec.spectrum import _edge_eigenvalues, _mirror_axis
 from sturmspec.transfer import _product_over_values
 
 
@@ -153,6 +154,83 @@ def test_nesting_over_random_continued_fractions(coeffs, coupling):
         union = union_intervals(bands[k], bands[k - 1])
         for lo, hi in bands[k + 1]:
             assert any(u_lo - tol <= lo and hi <= u_hi + tol for u_lo, u_hi in union)
+
+
+def _dense_edge_eigenvalues(values):
+    """Reference: eigenvalues of the full q x q periodic (corner +1) and
+    antiperiodic (corner -1) Hamiltonians, sorted together."""
+    out = []
+    for corner in (1.0, -1.0):
+        h = np.diag(values)
+        i = np.arange(len(values) - 1)
+        h[i, i + 1] = h[i + 1, i] = 1.0
+        # for q = 2 the corner adds to the hopping entries, for q = 1 it
+        # lands twice on the diagonal
+        h[0, -1] += corner
+        h[-1, 0] += corner
+        out.append(np.linalg.eigvalsh(h))
+    return np.sort(np.concatenate(out))
+
+
+@st.composite
+def period_words(draw):
+    """(symbols, values, mirrored): a word over 2-3 letters, with one random
+    potential value per letter.  Half are products of two palindromes,
+    rotated, which always have a mirror."""
+    letters = draw(st.integers(2, 3))
+    q = draw(st.integers(1, 60))
+
+    def spell(n):
+        return draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))
+
+    mirrored = draw(st.booleans())
+    if mirrored:
+        cut = draw(st.integers(0, q))
+        halves = spell((cut + 1) // 2), spell((q - cut + 1) // 2)
+        symbols = [
+            *halves[0], *halves[0][: cut // 2][::-1],
+            *halves[1], *halves[1][: (q - cut) // 2][::-1],
+        ]
+        shift = draw(st.integers(0, q - 1))
+        symbols = symbols[shift:] + symbols[:shift]
+    else:
+        symbols = spell(q)
+    level = draw(st.lists(st.floats(-10.0, 10.0), min_size=letters, max_size=letters))
+    return bytes(symbols), np.array([level[s] for s in symbols]), mirrored
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(word=period_words())
+def test_mirror_split_matches_dense_reference(word):
+    symbols, values, mirrored = word
+    if mirrored:
+        assert _mirror_axis(symbols) is not None
+    tol = 64 * np.finfo(float).eps * (2.0 + np.max(np.abs(values)))
+    split = _edge_eigenvalues(symbols, values)
+    assert split.shape == (2 * len(values),)
+    assert np.max(np.abs(split - _dense_edge_eigenvalues(values))) <= tol
+
+
+def test_mirror_axis_by_hand():
+    assert _mirror_axis(b"\x00") == 0
+    assert _mirror_axis(b"\x01\x00") == 0  # V(-j) = V(j): "10" is its own mirror
+    assert _mirror_axis(b"\x00\x01\x00\x01\x01") == 2
+    assert _mirror_axis(b"\x00\x00\x01\x00\x01\x01") is None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.integers(1, 6), min_size=1, max_size=12))
+def test_standard_words_have_a_mirror(coeffs):
+    # s_n is a product of two palindromes, so its period is mirror-symmetric
+    cf = convergents(coeffs)
+    top = max(n for n in range(cf.depth + 1) if cf.q[n] <= 5000)
+    tower = standard_words(cf, top)
+    for level in range(top + 1):
+        symbols = tower.word(level).symbols
+        m = _mirror_axis(symbols)
+        assert m is not None
+        sites = np.frombuffer(symbols, dtype=np.uint8)
+        assert np.array_equal(sites[(m - np.arange(len(sites))) % len(sites)], sites)
 
 
 class TestIntervalArithmetic:

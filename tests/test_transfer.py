@@ -12,7 +12,9 @@ from sturmspec import (
     constant_window,
     iterate_solution,
     lyapunov_estimate,
+    sturmian_tower,
     sturmian_transfer,
+    trace_bound_scan,
     transfer_product,
     window_from_word,
 )
@@ -122,7 +124,43 @@ def test_kernel_split_law_and_float_agreement_over_random_words(symbols, cut_dra
         assert abs(log1[i] - log3) <= 1e-8 * max(1.0, abs(log1[i]))
 
 
+def _restarted_recursion(cf, coupling, energy, level):
+    """Reference: M(s_level) by the word recursion restarted from s_{-1}."""
+    prev, cur = site_state(energy, coupling * 1.0), site_state(energy, 0.0)
+    if level == -1:
+        return prev
+    for n in range(1, level + 1):
+        prev, cur = cur, multiply(prev, state_power(cur, cf.coefficient(n) - (n == 1)))
+    return cur
+
+
+def states_identical(state_a, state_b):
+    return all(
+        np.array_equal(x, y) for x, y in zip((*state_a.m, state_a.log_scale),
+                                             (*state_b.m, state_b.log_scale))
+    )
+
+
 class TestSturmianTransfer:
+    def test_tower_is_bit_identical_to_restarted_recursion(self):
+        from sturmspec import convergents
+
+        cf = convergents([2, 3, 1, 4, 2, 1, 3, 2])
+        energies = np.linspace(-3.0, 4.0, 29)
+        tower = sturmian_tower(cf, 1.5, energies, 8)
+        assert len(tower) == 10
+        for level, state in enumerate(tower, start=-1):
+            assert states_identical(state, _restarted_recursion(cf, 1.5, energies, level))
+        assert len(sturmian_tower(cf, 1.5, 0.5, -1)) == 1
+
+    def test_trace_scan_sups_are_bit_identical(self, golden_cf):
+        report = trace_bound_scan(golden_cf, 1.0, 9, proxy_level=7)
+        energies = np.asarray(report.sample_energies)
+        assert report.sup_per_level == tuple(
+            float(np.max(abs(_restarted_recursion(golden_cf, 1.0, energies, k).trace())))
+            for k in range(10)
+        )
+
     def test_level_two_matches_word_ten(self, golden_cf):
         state = sturmian_transfer(golden_cf, 1.0, 0.0, 2)
         assert state.trace() == pytest.approx(-2.0, abs=1e-12)
