@@ -211,19 +211,6 @@ class HullComparisonReport:
     skipped_thetas: int
     contained: bool
 
-    def to_dict(self):
-        return {
-            "factor_length": self.factor_length,
-            "prefix_length": self.prefix_length,
-            "grid_size": self.grid_size,
-            "factors_v0": list(self.factors_v0),
-            "factors_grid": list(self.factors_grid),
-            "missing": list(self.missing),
-            "extra": list(self.extra),
-            "skipped_thetas": self.skipped_thetas,
-            "contained": self.contained,
-        }
-
 
 def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length):
     """Compare F1 = length-L factors of the theta=0 coding prefix against

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -96,13 +97,13 @@ def _resolve_cf(args):
     return convergents(coeffs)
 
 
-def _circle_params(args):
+def _circle_params(args, coupling=1.0):
     if args.beta is None:
         raise InvalidInputError("beta is required for circle-map tasks")
     cf = _resolve_cf(args)
     beta = _parse_fraction(args.beta, "beta")
     guard = _parse_fraction(args.precision, "precision") if args.precision else None
-    return CircleParams(alpha=cf.value(), beta=beta, coupling=args.coupling, guard=guard)
+    return CircleParams.from_cf(cf, beta, coupling, guard)
 
 
 def _parse_levels(text, depth):
@@ -160,15 +161,9 @@ def _task_word(args):
     if args.length is None:
         raise InvalidInputError("word task needs --length (or --tower)")
     if args.model:
-        name = args.model
-        if name not in SUBSTITUTION_TABLE:
-            raise InvalidInputError(
-                f"unknown model {name!r}; known: {', '.join(sorted(SUBSTITUTION_TABLE))}"
-            )
-        subst, letters = parse_substitution(SUBSTITUTION_TABLE[name])
-        out_letters = MODEL_OUTPUT_LETTERS.get(name, letters)
+        subst, letters = parse_substitution(SUBSTITUTION_TABLE[args.model])
         word = fixed_point_prefix(subst, 0, args.length)[: args.length]
-        text = word.to_text(out_letters)
+        text = word.to_text(MODEL_OUTPUT_LETTERS.get(args.model, letters))
     elif args.subst:
         subst, letters = parse_substitution(args.subst)
         if args.seed is not None and args.seed not in set(letters):
@@ -214,7 +209,8 @@ def _task_lyapunov(args):
     elif args.potential == "free":
         window = constant_window(0.0, 1, steps)
     else:  # circle
-        window = circle_potential_window(_circle_params(args), Fraction(0), -steps, steps)
+        params = _circle_params(args, args.coupling)
+        window = circle_potential_window(params, Fraction(0), -steps, steps)
     est = lyapunov_estimate(window, np.asarray(energies), steps)
     gamma_minus = [None] * len(energies) if est.gamma_minus is None else est.gamma_minus.tolist()
     rows = [
@@ -229,11 +225,6 @@ def _task_gordon(args):
         raise InvalidInputError(f"--seeds must be >= 1, got {args.seeds}")
     cf = _resolve_cf(args)
     level = args.level
-    tower = standard_words(cf, level)
-    s_n = tower.word(level)
-    q_n = cf.q[level]
-    window = window_from_word(s_n + s_n, args.coupling, provenance=f"square s_{level}^2")
-
     energies = None
     if args.energies.startswith("from-spectrum:"):
         proxy_text = args.energies.split(":", 1)[1]
@@ -244,7 +235,11 @@ def _task_gordon(args):
     else:
         energies = _parse_energies(args.energies)
         proxy = max(level, 8)
+    # the scan refuses a proxy period above MAX_PERIOD before the square is spelled out
     scan = trace_bound_scan(cf, args.coupling, level_max=proxy, proxy_level=proxy)
+    s_n = standard_words(cf, level).word(level)
+    q_n = cf.q[level]
+    window = window_from_word(s_n + s_n, args.coupling, provenance=f"square s_{level}^2")
     if energies is None:
         energies = band_samples(scan.proxy_bands, 1)
     c_bound = scan.derived_constant()
@@ -294,11 +289,11 @@ def _grid_size(args):
 def _task_hull_check(args):
     params = _circle_params(args)
     report = hull_factor_comparison(params, args.factor_length, _grid_size(args), args.prefix)
-    return report.to_dict()
+    return dataclasses.asdict(report)
 
 
 def _task_appendix(args):
-    params = _circle_params(args)
+    params = _circle_params(args, args.coupling)
     lam = params.coupling
     w0 = boundary_limit_window(params, AT_ZERO, 0, 0)
     wb = boundary_limit_window(params, AT_ONE_MINUS_BETA, 0, 0)
@@ -347,7 +342,7 @@ def _task_appendix(args):
         "endpoint_values": endpoint,
         "discontinuity_counts": disc,
         "boundary_agreement": agreement,
-        "hull_comparison": hull.to_dict(),
+        "hull_comparison": dataclasses.asdict(hull),
         "ok": ok,
     }
 
@@ -391,8 +386,6 @@ def emit_report(report, fmt):
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     task = report["task"]
-    if task not in CSV_HEADERS:
-        raise InvalidInputError(f"task {task!r} reports JSON only")
     header = CSV_HEADERS[task]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -414,39 +407,43 @@ def build_parser():
         description="Sturmian/substitution operator numerics: words, spectra, "
         "Lyapunov exponents, stability certificates.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha-cf", help="CF coefficients, e.g. 1,2,1x40 (x = repeat)")
-    common.add_argument(
+    rotation = argparse.ArgumentParser(add_help=False)
+    rotation.add_argument("--alpha-cf", help="CF coefficients, e.g. 1,2,1x40 (x = repeat)")
+    rotation.add_argument(
         "--alpha-period",
         help="eventually periodic CF as pre:period, e.g. ':1' for the golden mean",
     )
-    common.add_argument("--cf-depth", type=int, default=40, help="periodic CF unroll depth")
-    common.add_argument("--beta", default=None, help="indicator length as p/q")
-    common.add_argument(
-        "--lambda", dest="coupling", type=float, default=1.0, help="coupling strength"
-    )
-    common.add_argument("--precision", default=None, help="boundary guard as p/q")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
+    rotation.add_argument("--cf-depth", type=int, default=40, help="periodic CF unroll depth")
+    rotation.add_argument("--out", help="output path (default stdout)")
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="coupling")
+    circle = argparse.ArgumentParser(add_help=False)
+    circle.add_argument("--beta", help="indicator length as p/q")
+    circle.add_argument("--precision", help="boundary guard as p/q")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
 
     sub = parser.add_subparsers(dest="task", required=True)
 
-    p = sub.add_parser("word", parents=[common], help="generate a word prefix")
-    p.add_argument("--model", help=f"named substitution: {', '.join(sorted(SUBSTITUTION_TABLE))}")
-    p.add_argument("--subst", help='custom substitution, e.g. "a:ab,b:a"')
+    p = sub.add_parser("word", parents=[rotation, fmt], help="generate a word prefix")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--model", choices=sorted(SUBSTITUTION_TABLE), help="named substitution")
+    mode.add_argument("--subst", help='custom substitution, e.g. "a:ab,b:a"')
+    mode.add_argument("--tower", type=int, help="standard-word tower to this level (JSON)")
     p.add_argument("--seed", help="seed letter for --subst (default: first key)")
     p.add_argument("--length", type=int)
-    p.add_argument("--tower", type=int, help="emit the standard-word tower to this level (JSON)")
 
-    p = sub.add_parser("spectrum", parents=[common], help="periodic approximant band spectra")
+    p = sub.add_parser("spectrum", parents=[rotation, lam, fmt], help="approximant band spectra")
     p.add_argument("--levels", required=True, help='e.g. "1..10" or "2,4,8"')
 
-    p = sub.add_parser("lyapunov", parents=[common], help="Lyapunov exponent estimates")
+    p = sub.add_parser("lyapunov", parents=[rotation, lam, circle, fmt], help="Lyapunov exponents")
     p.add_argument("--potential", choices=["sturmian", "circle", "free"], default="sturmian")
     p.add_argument("--energies", required=True, help='"a:b:n" linspace or comma list')
     p.add_argument("--steps", type=int, default=100000)
 
-    p = sub.add_parser("gordon", parents=[common], help="two-block stability certificates")
+    # the tasks without --format report JSON only
+    p = sub.add_parser("gordon", parents=[rotation, lam], help="two-block stability certificates")
+    p.set_defaults(format="json")
     p.add_argument("--level", type=int, required=True, help="square word level n")
     p.add_argument(
         "--energies",
@@ -456,12 +453,14 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=100)
     p.add_argument("--rng-seed", type=int, default=0)
 
-    p = sub.add_parser("hull-check", parents=[common], help="coding-vs-hull factor comparison")
+    p = sub.add_parser("hull-check", parents=[rotation, circle], help="coding-vs-hull factors")
+    p.set_defaults(format="json")
     p.add_argument("--L", dest="factor_length", type=int, required=True)
     p.add_argument("--grid", type=int, default=None, help="theta grid size (default 4000 L)")
     p.add_argument("--prefix", type=int, default=100000)
 
-    p = sub.add_parser("appendix", parents=[common], help="torus-vs-hull correspondence checks")
+    p = sub.add_parser("appendix", parents=[rotation, lam, circle], help="torus-vs-hull checks")
+    p.set_defaults(format="json")
     p.add_argument("--range-n", type=int, default=1000)
     p.add_argument("--theta-samples", type=int, default=20)
     p.add_argument("--rng-seed", type=int, default=0)

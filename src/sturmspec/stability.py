@@ -53,11 +53,15 @@ class GordonCertificate:
     provenance: str
 
 
-def _apply(state, u0, u1):
+def _apply(state, u0, u1, rows):
     """U(k) = (u(k+1), u(k)) from the seed (u(0), u(1)) and the product over
-    [1, k]; an energy column of shape (m, 1) gives (m, seeds) arrays, except
-    for entries the site loop left as floats."""
-    a, b, c, d = (x * np.exp(state.log_scale) for x in state.m)
+    [1, k] on an (m, 1) energy column, at the rows selected by the boolean
+    mask ``rows``: two (rows, seeds) arrays.  A product over one site keeps
+    float entries, so each entry is broadcast to the column before masking,
+    and the scale is multiplied out at the selected rows only."""
+    column = (rows.size, 1)
+    a, b, c, d, log_scale = (np.broadcast_to(x, column)[rows] for x in (*state.m, state.log_scale))
+    a, b, c, d = (x * np.exp(log_scale) for x in (a, b, c, d))
     return a * u1 + b * u0, c * u1 + d * u0
 
 
@@ -89,10 +93,9 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     min_ratio = np.full(energy.shape, np.nan)
     max_residual = np.full(energy.shape, np.nan)
     if certified.any():
-        # a product over one site keeps float entries: broadcast before masking
-        shape = (energy.size, len(seeds))
-        un1, un = (np.broadcast_to(u, shape)[certified] for u in _apply(block, u0, u1))
-        u2n1, u2n = _apply(transfer_product(window, energy[certified, None], 1, 2 * n), u0, u1)
+        un1, un = _apply(block, u0, u1, certified)
+        block2 = transfer_product(window, energy[certified, None], 1, 2 * n)
+        u2n1, u2n = _apply(block2, u0, u1, certified[certified])  # every row of block2
         tr = tr[certified]
         norm0 = np.hypot(u1, u0)
         ratios = np.maximum(np.hypot(un1, un), np.hypot(u2n1, u2n)) / norm0

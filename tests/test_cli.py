@@ -16,8 +16,10 @@ from sturmspec import (
     standard_words,
     window_from_word,
 )
-from sturmspec.cli import build_parser, emit_report, main, run_experiment
+from sturmspec import cli
+from sturmspec.cli import CSV_HEADERS, build_parser, emit_report, main, run_experiment
 from sturmspec.errors import InvalidInputError
+from sturmspec.words import SUBSTITUTION_TABLE
 
 
 def run_cli(argv, capsys):
@@ -29,6 +31,14 @@ def run_cli(argv, capsys):
 def run_report(argv):
     parser = build_parser()
     return run_experiment(parser.parse_args(argv))
+
+
+def parse_refusal(argv, capsys):
+    """(exit code, stdout, stderr) of an argv that argparse refuses."""
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    out, err = capsys.readouterr()
+    return refused.value.code, out, err
 
 
 class TestWordTask:
@@ -54,9 +64,10 @@ class TestWordTask:
         assert out.splitlines()[1] == "abbabaab"
 
     def test_unknown_model(self, capsys):
-        code, _, err = run_cli(["word", "--model", "nope", "--length", "4"], capsys)
-        assert code == 2
-        assert "unknown model" in err
+        code, out, err = parse_refusal(["word", "--model", "nope", "--length", "4"], capsys)
+        assert code == 2 and out == ""
+        assert "invalid choice: 'nope'" in err
+        assert all(name in err for name in SUBSTITUTION_TABLE)
 
 
 class TestSpectrumTask:
@@ -246,13 +257,29 @@ class TestGordonTask:
             assert cert["nondecay_ok"]
 
     def test_json_only(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = parse_refusal(
             ["gordon", "--alpha-period", ":1", "--level", "3", "--seeds", "2",
              "--format", "csv"],
             capsys,
         )
-        assert code == 2
-        assert "JSON" in err
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --format csv" in err
+        report = run_report(["gordon", "--alpha-period", ":1", "--level", "3", "--seeds", "2"])
+        assert report["config"]["format"] == "json"
+
+    def test_long_period_refused_before_the_square(self, monkeypatch, capsys):
+        # the proxy level 26 (q = 196418) is refused by the trace scan before
+        # the 2 q-site square window is built
+        def spelled_out(*args, **kwargs):
+            raise AssertionError("square window built before the refusal")
+
+        monkeypatch.setattr(cli, "window_from_word", spelled_out)
+        code, out, err = run_cli(
+            ["gordon", "--alpha-period", ":1", "--level", "26", "--energies", "0", "--seeds", "1"],
+            capsys,
+        )
+        assert code == 3 and out == ""
+        assert "q=196418" in err
 
 
 class TestHullAndAppendix:
@@ -304,11 +331,11 @@ class TestHullAndAppendix:
 
     @pytest.mark.parametrize("option", ["--L=--", "--beta=--", "--lambda=--"])
     def test_double_dash_value_exits_two(self, option, capsys):
-        with pytest.raises(SystemExit) as refused:
-            main(["hull-check", "--alpha-period", ":1", "--beta=1/4", "--L=4", option])
-        assert refused.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
+        task = "appendix" if option == "--lambda=--" else "hull-check"
+        code, out, err = parse_refusal(
+            [task, "--alpha-period", ":1", "--beta=1/4", "--L=4", option], capsys
+        )
+        assert code == 2 and out == ""
         assert err.splitlines()[-1].endswith("error: an option value cannot be '--'")
 
     def test_beta_out_of_range(self, capsys):
@@ -435,17 +462,18 @@ SMALL_FRACTION_TEXT = st.one_of(
     st.integers(1, 999).map(lambda k: f"0.{k:03d}"),
     st.builds(lambda m, e: f"{m}e-{e}", st.integers(1, 9), st.integers(1, 8)),
 )
+FLOAT_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 # in-range values per option, with sizes small enough for a fast run
 CIRCLE_OPTIONS = {
     "--beta": SMALL_FRACTION_TEXT,
     "--precision": int_text(1, 10**9).map(lambda d: f"1/{d}") | SMALL_FRACTION_TEXT,
-    "--lambda": st.floats(allow_nan=False, allow_infinity=False).map(repr),
     "--cf-depth": int_text(1, 60),
     "--L": int_text(1, 30),
     "--grid": int_text(1, 10**9),
     "--prefix": int_text(1, 3000),
 }
 APPENDIX_OPTIONS = {
+    "--lambda": FLOAT_TEXT,
     "--range-n": int_text(1, 3000),
     "--theta-samples": int_text(1, 50),
 }
@@ -456,20 +484,27 @@ EDGE_TEXT = st.sampled_from(
 )
 
 
+def draw_argv(draw, task, options, max_left_out, edge_text=EDGE_TEXT, kept=()):
+    """A golden-mean argv for ``task``: in-range option values, up to
+    ``max_left_out`` options other than ``kept`` left out and up to two
+    malformed."""
+    values = {flag: draw(strategy) for flag, strategy in options.items()}
+    optional = sorted(set(options) - set(kept))
+    for flag in draw(st.sets(st.sampled_from(optional), max_size=max_left_out)):
+        values[flag] = None  # left out: the default, or a missing required option
+    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
+        values[flag] = draw(edge_text)
+    # "=" keeps "-1" a value, not a flag
+    return [task, "--alpha-period", ":1"] + [
+        f"{flag}={value}" for flag, value in values.items() if value is not None
+    ]
+
+
 @st.composite
 def circle_argv(draw):
     task = draw(st.sampled_from(["appendix", "hull-check"]))
     options = dict(CIRCLE_OPTIONS, **(APPENDIX_OPTIONS if task == "appendix" else {}))
-    values = {flag: draw(strategy) for flag, strategy in options.items()}
-    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=3)):
-        values[flag] = None  # left out: the default, or a missing required option
-    for flag in draw(st.sets(st.sampled_from(sorted(options)), max_size=2)):
-        values[flag] = draw(EDGE_TEXT)
-    argv = [task, "--alpha-period", ":1"]
-    for flag, value in values.items():
-        if value is not None:
-            argv.append(f"{flag}={value}")  # "=" keeps "-1" a value, not a flag
-    return argv
+    return draw_argv(draw, task, options, 3)
 
 
 LEVEL_TEXT = st.one_of(
@@ -479,27 +514,83 @@ LEVEL_TEXT = st.one_of(
 )
 SPECTRUM_OPTIONS = {
     "--levels": LEVEL_TEXT,
-    "--lambda": st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    "--lambda": FLOAT_TEXT,
     "--cf-depth": int_text(1, 60),
 }
 
 
 @st.composite
 def spectrum_argv(draw):
-    values = {flag: draw(strategy) for flag, strategy in SPECTRUM_OPTIONS.items()}
-    for flag in draw(st.sets(st.sampled_from(sorted(SPECTRUM_OPTIONS)), max_size=1)):
-        values[flag] = None
-    for flag in draw(st.sets(st.sampled_from(sorted(SPECTRUM_OPTIONS)), max_size=2)):
-        values[flag] = draw(EDGE_TEXT | st.sampled_from(["0..41", "1..100000", "3..", "25"]))
-    argv = ["spectrum", "--alpha-period", ":1"]
-    for flag, value in values.items():
-        if value is not None:
-            argv.append(f"{flag}={value}")
-    return argv
+    edge_text = EDGE_TEXT | st.sampled_from(["0..41", "1..100000", "3..", "25"])
+    return draw_argv(draw, "spectrum", SPECTRUM_OPTIONS, 1, edge_text)
+
+
+FORMAT_TEXT = st.sampled_from(["json", "csv"])
+# hypothesis favours 0 and extreme floats; most draws take a typical coupling
+COUPLING_TEXT = st.floats(0.25, 8).map(repr) | FLOAT_TEXT
+WORD_OPTIONS = {
+    "--length": int_text(1, 5000),
+    "--seed": st.sampled_from(["a", "b", "c"]),
+    "--cf-depth": int_text(1, 60),
+    "--format": FORMAT_TEXT,
+}
+# word's three exclusive modes; no mode spells the CF coding
+WORD_MODES = {
+    "--tower": int_text(0, 9),
+    "--model": st.sampled_from(sorted(SUBSTITUTION_TABLE)),
+    "--subst": st.sampled_from(["a:ab,b:a", "a:ab,b:ba", "a:abc,b:ac,c:b", "a:ab,b:b", "a:b,b:a"]),
+}
+
+
+@st.composite
+def word_argv(draw):
+    modes = draw(st.sets(st.sampled_from(sorted(WORD_MODES)), max_size=2))
+    options = dict(WORD_OPTIONS, **{flag: WORD_MODES[flag] for flag in modes})
+    return draw_argv(draw, "word", options, 2)
+
+
+ENERGY_TEXT = st.one_of(
+    st.lists(st.floats(-6, 6) | st.floats(allow_nan=False, allow_infinity=False),
+             min_size=1, max_size=4).map(lambda es: ",".join(map(repr, es))),
+    st.builds(lambda lo, hi, n: f"{lo!r}:{hi!r}:{n}",
+              st.floats(-6, 6), st.floats(-6, 6), st.integers(1, 20)),
+)
+LYAPUNOV_OPTIONS = {
+    "--potential": st.sampled_from(["sturmian", "circle", "free"]),
+    "--energies": ENERGY_TEXT,
+    "--steps": int_text(1000, 5000),
+    "--lambda": COUPLING_TEXT,
+    "--beta": SMALL_FRACTION_TEXT,
+    "--precision": CIRCLE_OPTIONS["--precision"],
+    "--cf-depth": int_text(1, 60),
+    "--format": FORMAT_TEXT,
+}
+
+
+@st.composite
+def lyapunov_argv(draw):
+    # left out, --steps would default to 100000
+    return draw_argv(draw, "lyapunov", LYAPUNOV_OPTIONS, 2, kept=["--steps"])
+
+
+GORDON_OPTIONS = {
+    "--level": int_text(0, 9),
+    "--energies": int_text(0, 9).map(lambda k: f"from-spectrum:{k}") | ENERGY_TEXT,
+    "--seeds": int_text(1, 20),
+    "--rng-seed": int_text(0, 2**31),
+    "--lambda": COUPLING_TEXT,
+    "--cf-depth": int_text(1, 60),
+}
+
+
+@st.composite
+def gordon_argv(draw):
+    # left out, --seeds would default to 100
+    return draw_argv(draw, "gordon", GORDON_OPTIONS, 2, kept=["--seeds"])
 
 
 def _assert_exit_contract(argv):
-    """One JSON report and exit 0, or one error line and a documented code."""
+    """One report and exit 0, or one error line and a documented code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -507,7 +598,9 @@ def _assert_exit_contract(argv):
         except SystemExit as refused:  # argparse rejects the option value
             code = refused.code
     assert code in (0, 2, 3, 4)
-    if code == 0:
+    if code == 0 and "--format=csv" in argv:
+        assert out.getvalue().splitlines()[0] == ",".join(CSV_HEADERS[argv[0]])
+    elif code == 0:
         assert json.loads(out.getvalue())["task"] == argv[0]
     else:
         assert out.getvalue() == ""
@@ -525,6 +618,63 @@ def test_circle_task_argv_fuzz(argv):
 @given(argv=spectrum_argv())
 def test_spectrum_task_argv_fuzz(argv):
     _assert_exit_contract(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=word_argv())
+def test_word_task_argv_fuzz(argv):
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=lyapunov_argv())
+def test_lyapunov_task_argv_fuzz(argv):
+    _assert_exit_contract(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=gordon_argv())
+def test_gordon_task_argv_fuzz(argv):
+    _assert_exit_contract(argv)
+
+
+BASE_ARGV = {
+    "word": ["word", "--alpha-period", ":1", "--length", "8"],
+    "spectrum": ["spectrum", "--alpha-period", ":1", "--levels", "3"],
+    "gordon": ["gordon", "--alpha-period", ":1", "--level", "3", "--seeds", "2"],
+    "hull-check": ["hull-check", "--alpha-period", ":1", "--beta", "1/4", "--L", "4"],
+    "appendix": ["appendix", "--alpha-period", ":1", "--beta", "1/4"],
+}
+UNREAD_OPTIONS = [
+    ("word", "--lambda", "3"), ("word", "--beta", "1/3"), ("word", "--precision", "1/7"),
+    ("spectrum", "--beta", "1/3"), ("spectrum", "--precision", "1/7"),
+    ("gordon", "--beta", "1/3"), ("gordon", "--precision", "1/7"), ("gordon", "--format", "json"),
+    ("hull-check", "--lambda", "3"), ("hull-check", "--format", "json"),
+    ("appendix", "--format", "json"),
+]
+EXCLUSIVE_MODES = [
+    ["word", "--model", "fibonacci", "--subst", "a:ab,b:a", "--length", "8"],
+    ["word", "--model", "fibonacci", "--tower", "3"],
+    ["word", "--alpha-period", ":1", "--subst", "a:ab,b:a", "--tower", "3"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [(BASE_ARGV[task] + [flag, value], f"unrecognized arguments: {flag} {value}")
+     for task, flag, value in UNREAD_OPTIONS]
+    + [(argv, "not allowed with argument") for argv in EXCLUSIVE_MODES],
+    ids=[f"{task}{flag}" for task, flag, _ in UNREAD_OPTIONS]
+    + ["model-subst", "model-tower", "subst-tower"],
+)
+def test_unread_option_refused_at_parse_time(argv, needle, monkeypatch, capsys):
+    def task_ran(args):
+        raise AssertionError(f"task {args.task} ran")
+
+    monkeypatch.setattr(cli, "run_experiment", task_ran)
+    code, out, err = parse_refusal(argv, capsys)
+    assert code == 2 and out == ""
+    assert needle in err
 
 
 class TestReportPlumbing:

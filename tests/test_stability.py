@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +227,20 @@ class TestNondecay:
             assert cert.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
             assert cert.nondecay_ok[i]
         assert_not_certified(cert, 3)
+
+    def test_overflowing_uncertified_energy_stays_silent(self, golden_cf, fib_spectra):
+        # at E = 1e5 the [1, 89] product passes e^709; U(n) is taken at the
+        # certified band midpoint only, so numpy has no overflow to warn about
+        q = golden_cf.q[10]
+        s10 = standard_words(golden_cf, 10).word(10)
+        window = window_from_word(s10 + s10, 1.0)
+        lo, hi = fib_spectra[10].bands[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = gordon_certificate(window, q, 10.0, [1e5, (lo + hi) / 2], [(0.6, -0.8)])
+        assert q == 89 and cert.certified.tolist() == [False, True]
+        assert_not_certified(cert, 0)
+        assert cert.nondecay_ok[1]
 
     def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
         s12 = standard_words(golden_cf, 12).word(12)
