@@ -64,6 +64,7 @@ from .transfer import (
     iterate_solution,
     lyapunov_estimate,
     sturmian_tower,
+    sturmian_traces,
     sturmian_transfer,
     transfer_product,
 )

@@ -151,6 +151,10 @@ def _parse_energies(text):
 
 
 def _task_word(args):
+    if args.seed is not None and not args.subst:
+        raise InvalidInputError("--seed applies to --subst only")
+    if args.tower is not None and args.length is not None:
+        raise InvalidInputError("--length does not apply to --tower")
     if args.tower is not None:
         cf = _resolve_cf(args)
         tower = standard_words(cf, args.tower)
@@ -382,9 +386,18 @@ def run_experiment(args):
 
 def emit_report(report, fmt):
     """Serialize a report: full document as JSON, or the tabular projection
-    as CSV with a fixed, documented header."""
+    as CSV with a fixed, documented header.
+
+    The JSON document has one top-level field per line, each value on one
+    line: ``json.dumps`` takes its C encoder only without ``indent``, and
+    the pure-Python encoder that ``indent`` selects took up to a quarter of
+    a spectrum run.
+    """
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        fields = ",\n".join(
+            f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in report.items()
+        )
+        return "{\n" + fields + "\n}\n"
     task = report["task"]
     header = CSV_HEADERS[task]
     buf = io.StringIO()

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import InvalidInputError, ResolutionError
 from .potentials import constant_window, window_from_word
 from .sturmian import c_alpha_prefix, standard_words
-from .transfer import lyapunov_estimate, sturmian_tower
+from .transfer import lyapunov_estimate, sturmian_traces
 
 # Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
 # every eigenvalue within a small multiple of eps * ||H|| of the exact one,
@@ -46,8 +46,10 @@ CLOSED_GAP_EPS = 64
 # and a mirrored q = 5000 word about 3.4 s with a 130 MB peak.
 MAX_PERIOD = 5000
 
-# Relative margin of the certificate trace bound over the sampled sup: the
-# sup is taken over finitely many proxy energies, so it can only undershoot.
+# Relative margin of the certificate trace bound over the sampled sup.  The
+# sup over finitely many proxy energies can undershoot the sup over the
+# spectrum; a trace that float rounding overstates could make it overshoot,
+# which is why the traces come from the scalar trace map.
 TRACE_BOUND_HEADROOM = 0.1
 
 
@@ -286,7 +288,8 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
     """Sample |tr M(s_k)| for k <= level_max over proxy spectrum energies.
 
     Proxy energies are interior samples of the bands of the intersection of
-    the approximant spectra at ``proxy_level`` and ``proxy_level + 1``.
+    the approximant spectra at ``proxy_level`` and ``proxy_level + 1``; the
+    traces come from the scalar trace map (``sturmian_traces``).
     """
     if coupling == 0:
         raise InvalidInputError("trace bound needs a non-zero coupling")
@@ -299,8 +302,9 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
     energies = band_samples(proxy_bands, samples_per_band)
     if not energies:
         raise ResolutionError("proxy spectrum intersection is empty")
-    tower = sturmian_tower(cf, coupling, np.asarray(energies), level_max)
-    sups = [float(np.max(abs(state.trace()))) for state in tower[1:]]
+    traces = sturmian_traces(cf, coupling, np.asarray(energies), level_max)
+    # a NaN trace comes from an overflow (inf - inf) and counts as unbounded
+    sups = [float(np.max(np.where(np.isnan(t), np.inf, abs(t)))) for t in traces[1:]]
     return TraceBoundReport(
         level_max=level_max,
         proxy_level=proxy,

@@ -163,6 +163,47 @@ def sturmian_tower(cf, coupling, energy, level):
     return tower[: level + 2]
 
 
+def sturmian_traces(cf, coupling, energy, level):
+    """Traces [t_{-1}, t_0, ..., t_level], t_n = tr M(s_n), from the scalar
+    trace map (Kohmoto-Kadanoff-Tang, PRL 50, 1983, for the golden mean;
+    Bellissard-Iochum-Scoppola-Testard, CMP 125, 1989, for every Sturmian
+    word).
+
+    Let w_n = tr M(s_{n-2}) M(s_{n-1}), a = a_n (a_1 - 1 at n = 1), and S_j
+    the Chebyshev polynomials S_{-2} = -1, S_{-1} = 0, S_0 = 1,
+    S_{j+1}(t) = t S_j(t) - S_{j-1}(t).  Cayley-Hamilton gives
+    M^a = S_{a-1}(tr M) M - S_{a-2}(tr M) for det M = 1, so with the
+    arguments t_{n-1}
+
+        t_n = S_{a-1} w_n - S_{a-2} t_{n-2},
+        w_{n+1} = S_a w_n - S_{a-1} t_{n-2},
+
+    from t_{-1} = E - coupling, t_0 = E and w_1 = (E - coupling) E - 2.
+    The recursion carries scalars only, each bounded where the traces are,
+    so the bounded traces on the spectrum are not lost to cancellation
+    between the large entries of the tower's matrices.  At gap energies the traces grow
+    superexponentially and overflow deep in the tower, to inf or (from
+    inf - inf) NaN.
+    """
+    if level < -1:
+        raise InvalidInputError("level must be >= -1")
+    if level > cf.depth:
+        raise DepthError(f"level {level} exceeds CF depth {cf.depth}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = [energy - coupling * 1.0, energy * 1.0]  # "1", "0"
+        w = traces[0] * traces[1] - 2.0
+        for n in range(1, level + 1):
+            a = cf.coefficient(n) - (n == 1)
+            t, t_back = traces[-1], traces[-2]
+            s_low, s_high = -1.0, 0.0  # S_{j-2}, S_{j-1} at j = 0
+            for _ in range(a):
+                s_low, s_high = s_high, t * s_high - s_low
+            # now s_low = S_{a-2}, s_high = S_{a-1}
+            traces.append(s_high * w - s_low * t_back)
+            w = (t * s_high - s_low) * w - s_high * t_back
+    return traces[: level + 2]
+
+
 def sturmian_transfer(cf, coupling, energy, level):
     """Transfer matrix over the standard word s_level: the last matrix of
     ``sturmian_tower``."""

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -414,6 +415,9 @@ class TestRefusedRuns:
              2, "exponent"),
             (["appendix", "--alpha-period", ":1", "--beta", "1/4", "--precision", "1e1_0000"],
              2, "exponent"),
+            (["word", "--model", "fibonacci", "--length", "8", "--seed", "b"], 2, "--seed"),
+            (["word", "--alpha-period", ":1", "--length", "8", "--seed", "a"], 2, "--seed"),
+            (["word", "--alpha-period", ":1", "--tower", "3", "--length", "8"], 2, "--length"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
@@ -675,6 +679,32 @@ def test_unread_option_refused_at_parse_time(argv, needle, monkeypatch, capsys):
     code, out, err = parse_refusal(argv, capsys)
     assert code == 2 and out == ""
     assert needle in err
+
+
+def _without_wall_time(text):
+    return re.sub(r'"wall_time_s": [^,\n]*', "", text)
+
+
+@pytest.mark.parametrize("task", sorted(BASE_ARGV))
+def test_json_layout_one_field_per_line(task, tmp_path, capsys):
+    argv = BASE_ARGV[task]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = run_report(argv)
+    lines = out.split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    fields = lines[1:-2]
+    assert len(fields) == len(report)
+    for i, (line, key) in enumerate(zip(fields, report)):
+        assert line.startswith(f"  {json.dumps(key)}: ")
+        assert line.endswith(",") == (i < len(fields) - 1)
+        assert list(json.loads("{" + line.rstrip(",") + "}")) == [key]
+    parsed = json.loads(out)
+    parsed.pop("wall_time_s"), report.pop("wall_time_s")
+    assert parsed == json.loads(json.dumps(report))  # tuples read back as lists
+    path = tmp_path / "report.json"
+    assert run_cli(argv + ["--out", str(path)], capsys) == (0, "", "")
+    assert _without_wall_time(path.read_text()) == _without_wall_time(out)
 
 
 class TestReportPlumbing:

@@ -315,6 +315,16 @@ class TestTraceBounds:
         )
         assert report.sup_per_level[k] == pytest.approx(direct, rel=1e-12)
 
+    def test_strong_coupling_sup_stable_as_the_proxy_deepens(self, golden_cf):
+        # at lambda = 10 the matrix tower's trace at level 15 is lost to
+        # cancellation (16.09 where the exact trace is 0.10); the trace map
+        # keeps the sampled sup at t_0 = E = 11.142 for proxy 14 and 15
+        sups = [
+            trace_bound_scan(golden_cf, 10.0, proxy, proxy_level=proxy).overall_sup
+            for proxy in (14, 15)
+        ]
+        assert sups[1] == pytest.approx(sups[0], rel=0.01)
+
     def test_zero_coupling_rejected(self, golden_cf):
         with pytest.raises(InvalidInputError):
             trace_bound_scan(golden_cf, 0.0, 4)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,15 +12,18 @@ from sturmspec import (
     Word,
     c_alpha_prefix,
     constant_window,
+    convergents,
     iterate_solution,
     lyapunov_estimate,
+    standard_words,
     sturmian_tower,
+    sturmian_traces,
     sturmian_transfer,
     trace_bound_scan,
     transfer_product,
     window_from_word,
 )
-from sturmspec.errors import InvalidInputError, WindowError
+from sturmspec.errors import DepthError, InvalidInputError, WindowError
 from sturmspec.transfer import multiply, site_state, state_power
 
 
@@ -154,12 +159,17 @@ class TestSturmianTransfer:
         assert len(sturmian_tower(cf, 1.5, 0.5, -1)) == 1
 
     def test_trace_scan_sups_are_bit_identical(self, golden_cf):
+        # the scan's one array pass gives the per-energy trace map's sups bit
+        # for bit, and the tower's to rounding where the tower is accurate
         report = trace_bound_scan(golden_cf, 1.0, 9, proxy_level=7)
-        energies = np.asarray(report.sample_energies)
+        per_energy = [sturmian_traces(golden_cf, 1.0, e, 9) for e in report.sample_energies]
         assert report.sup_per_level == tuple(
-            float(np.max(abs(_restarted_recursion(golden_cf, 1.0, energies, k).trace())))
-            for k in range(10)
+            max(abs(traces[k + 1]) for traces in per_energy) for k in range(10)
         )
+        energies = np.asarray(report.sample_energies)
+        for k, sup in enumerate(report.sup_per_level):
+            tower_sup = np.max(abs(_restarted_recursion(golden_cf, 1.0, energies, k).trace()))
+            assert sup == pytest.approx(tower_sup, rel=1e-10)
 
     def test_level_two_matches_word_ten(self, golden_cf):
         state = sturmian_transfer(golden_cf, 1.0, 0.0, 2)
@@ -207,6 +217,59 @@ class TestSturmianTransfer:
         for _ in range(4):
             by_hand = multiply(by_hand, state)
         assert matrices_close(by_power, by_hand, 1e-12)
+
+
+class TestTraceMap:
+    def test_first_traces_by_hand(self, golden_cf):
+        # t_{-1} = E - lambda, t_0 = E, and for the golden mean s_1 = "1"
+        # and s_2 = "10": t_2 = (E - lambda) E - 2
+        assert sturmian_traces(golden_cf, 1.5, 2.0, 2) == [0.5, 2.0, 0.5, -1.0]
+        assert sturmian_traces(golden_cf, 1.5, 2.0, -1) == [0.5]
+
+    def test_level_checks(self, golden_cf):
+        with pytest.raises(InvalidInputError):
+            sturmian_traces(golden_cf, 1.0, 0.0, -2)
+        with pytest.raises(DepthError):
+            sturmian_traces(golden_cf, 1.0, 0.0, 41)
+
+    def test_overflow_in_a_gap_is_silent(self, golden_cf):
+        # far outside the spectrum the traces grow superexponentially; the
+        # overflow raises no RuntimeWarning (pytest turns one into an error)
+        traces = sturmian_traces(golden_cf, 10.0, np.array([0.5, 30.0]), 40)
+        assert not np.any(np.isfinite(traces[-1]))
+
+
+def _exact_trace(symbols, coupling, energy):
+    """tr M(E) over a word, as an exact rational product site by site."""
+    a, b, c, d = 1, 0, 0, 1
+    for symbol in symbols:
+        x = energy - coupling * symbol
+        a, b, c, d = x * a - c, x * b - d, a, b
+    return a + d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(st.integers(1, 5), min_size=1, max_size=12),
+    # dyadic couplings and energies convert to floats exactly
+    coupling=st.integers(7, 640).map(lambda k: Fraction(k, 64)),
+    position=st.integers(0, 256).map(lambda k: Fraction(k, 256)),
+)
+def test_trace_map_matches_exact_products_over_random_continued_fractions(
+    coeffs, coupling, position
+):
+    cf = convergents(coeffs)
+    top = max(n for n in range(cf.depth + 1) if cf.q[n] <= 300)
+    energy = -3 + position * (coupling + 6)  # covers [-2, 2 + lambda] and beyond
+    traces = sturmian_traces(cf, float(coupling), float(energy), top)
+    tower = standard_words(cf, top)
+    for level in range(-1, top + 1):
+        exact = _exact_trace(tower.word(level).symbols, coupling, energy)
+        trace = traces[level + 1]
+        if abs(exact) > sys.float_info.max:
+            assert not math.isfinite(trace)
+        else:
+            assert abs(Fraction(trace) - exact) <= 1e-10 * max(1, abs(exact))
 
 
 class TestSolutions:
