@@ -59,9 +59,7 @@ from .sturmian import (
 )
 from .transfer import (
     LyapunovEstimate,
-    SolutionTrajectory,
     TransferState,
-    iterate_solution,
     lyapunov_estimate,
     sturmian_tower,
     sturmian_traces,

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isfinite, lcm
+from math import isfinite, lcm
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryAmbiguityError, InvalidInputError
 from .potentials import PotentialWindow
@@ -74,13 +77,54 @@ def _require_precision(params, max_abs_index):
         )
 
 
+def _code_orbits(params, denom, starts, lo, count, flipped=False, mark_ambiguous=False):
+    """Indicator values of the orbits x_j = (start + j * step) mod denom,
+    j < count, one per start, over the common denominator ``denom`` of
+    alpha, beta and every start angle; entry j is the orbit index lo + j.
+
+    ``starts`` is one integer (a 1-d result) or a sequence of them (one row
+    each).  The points are int64 while denom * (count + 1) < 2**63, which
+    bounds every start + j * step; past that the same expression runs on
+    Python ints in an object array.  Points on or within ``guard`` of a
+    boundary raise at the first flagged index (row by row), except at n = 0
+    where the point is exact by construction; with ``mark_ambiguous`` the
+    result is (bits, flags) instead.
+    """
+    step = params.alpha.numerator * (denom // params.alpha.denominator) % denom
+    cut = denom - params.beta.numerator * (denom // params.beta.denominator)  # 1-beta
+    # The guard as an integer threshold over the common denominator: for an
+    # integer m >= 0, m * g_den <= g_num * denom exactly when m <= t.  So x
+    # is within the guard of 0 when x <= t or denom - x <= t, and of 1-beta
+    # when |x - cut| <= t; exact hits lie inside both, since t >= 0.  A t
+    # past denom flags every point either way, so it is capped there.
+    t = min(params.guard.numerator * denom // params.guard.denominator, denom)
+    dtype = np.int64 if denom * (count + 1) < 2**63 else object
+    x = (np.asarray(starts, dtype=dtype)[..., None] + np.arange(count, dtype=dtype) * step) % denom
+    near = (x <= t) | (x >= denom - t) | ((x >= cut - t) & (x <= cut + t))
+    if lo <= 0 < lo + count:
+        near[..., -lo] = False
+    bits = ((x > cut) | (x == 0) if flipped else x >= cut).astype(np.uint8)
+    if mark_ambiguous:
+        return bits, near
+    flagged = np.flatnonzero(near)
+    if flagged.size:
+        n = lo + int(flagged[0]) % count
+        raise BoundaryAmbiguityError(
+            f"orbit point at index {n} is on or within the guard of an indicator boundary",
+            index=n,
+        )
+    return bits
+
+
 def _orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
-    """Indicator values of the orbit alpha*n + theta over n in [lo, hi].
+    """Indicator values of the orbit alpha*n + theta over n in [lo, hi], as a
+    uint8 array.
 
     Plain mode uses the half-open interval [1-beta, 1); ``flipped`` uses the
     left-limit convention (1-beta, 1] with 0 counted as 1.  Points on or
     within ``guard`` of a boundary raise, except at n = 0 where the point is
-    exact by construction; with ``mark_ambiguous`` they yield None instead.
+    exact by construction; with ``mark_ambiguous`` the result is the pair
+    (bits, flags), flags a boolean array marking those points instead.
     """
     theta = Fraction(theta)
     if lo > hi:
@@ -88,44 +132,20 @@ def _orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
     _require_precision(params, max(abs(lo), abs(hi)))
     denom = lcm(params.alpha.denominator, theta.denominator, params.beta.denominator)
     step = params.alpha.numerator * (denom // params.alpha.denominator)
-    cut = denom - params.beta.numerator * (denom // params.beta.denominator)  # 1-beta
-    # The guard as an integer threshold over the common denominator: for an
-    # integer m >= 0, m * g_den <= g_num * denom exactly when m <= t.  So x
-    # is within the guard of 0 when x <= t or denom - x <= t, and of 1-beta
-    # when |x - cut| <= t; exact hits lie inside both, since t >= 0.
-    t = params.guard.numerator * denom // params.guard.denominator
-    near_top, cut_lo, cut_hi = denom - t, cut - t, cut + t
-    x = (step * lo + theta.numerator * (denom // theta.denominator)) % denom
-    step %= denom
-    bits = []
-    for n in range(lo, hi + 1):
-        if (x <= t or x >= near_top or cut_lo <= x <= cut_hi) and n != 0:
-            if not mark_ambiguous:
-                raise BoundaryAmbiguityError(
-                    f"orbit point at index {n} is on or within the guard of an "
-                    f"indicator boundary",
-                    index=n,
-                )
-            bits.append(None)
-        elif flipped:
-            bits.append(1 if (x > cut or x == 0) else 0)
-        else:
-            bits.append(1 if x >= cut else 0)
-        x += step
-        if x >= denom:
-            x -= denom
-    return bits
+    start = (step * lo + theta.numerator * (denom // theta.denominator)) % denom
+    return _code_orbits(params, denom, start, lo, hi - lo + 1, flipped, mark_ambiguous)
+
+
+def _window(params, bits, lo, hi, provenance):
+    return PotentialWindow(
+        lo=lo, hi=hi, values=tuple((bits * float(params.coupling)).tolist()), provenance=provenance
+    )
 
 
 def circle_potential_window(params, theta, lo, hi):
     """V(n) = coupling * [alpha n + theta mod 1 in [1-beta, 1)] on [lo, hi]."""
     bits = _orbit_bits(params, theta, lo, hi)
-    return PotentialWindow(
-        lo=lo,
-        hi=hi,
-        values=tuple(params.coupling * b for b in bits),
-        provenance=f"circle theta={Fraction(theta)}",
-    )
+    return _window(params, bits, lo, hi, f"circle theta={Fraction(theta)}")
 
 
 def boundary_limit_window(params, which, lo, hi):
@@ -139,12 +159,7 @@ def boundary_limit_window(params, which, lo, hi):
     if theta is None:
         raise InvalidInputError(f"unknown boundary {which!r}")
     bits = _orbit_bits(params, theta, lo, hi, flipped=True)
-    return PotentialWindow(
-        lo=lo,
-        hi=hi,
-        values=tuple(params.coupling * b for b in bits),
-        provenance=f"boundary-limit {which}",
-    )
+    return _window(params, bits, lo, hi, f"boundary-limit {which}")
 
 
 def discontinuity_indices(params, theta, range_n):
@@ -185,9 +200,9 @@ def first_disagreement(params, theta1, theta2, horizon):
         top = min(n + chunk - 1, horizon)
         b1 = _orbit_bits(params, theta1, n, top)
         b2 = _orbit_bits(params, theta2, n, top)
-        for off, (u, v) in enumerate(zip(b1, b2)):
-            if u != v:
-                return n + off
+        differ = np.flatnonzero(b1 != b2)
+        if differ.size:
+            return n + int(differ[0])
         n = top + 1
     return None
 
@@ -220,7 +235,7 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
     Grid angles within the guard of a breakpoint (module docstring) are
     skipped and counted; the other grid angles of an arc between adjacent
     breakpoints share the arc's word, so the exact scan costs O(L^2) at any
-    grid size.  The guard on 1-beta in ``_orbit_bits`` is the linear
+    grid size.  The guard on 1-beta in ``_code_orbits`` is the linear
     |x - (1-beta)|, which skips the same angles as the circular distance:
     where the two differ, the short way round passes through 0, and the
     point is within the guard of 0.
@@ -233,28 +248,34 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
     if theta_grid_size < 1:
         raise InvalidInputError("grid size must be >= 1")
     # This also checks the precision of every orbit index up to L.
-    prefix_bits = _orbit_bits(params, Fraction(0), 1, prefix_length)
-    prefix_word = Word(bytes(prefix_bits), 2)
+    prefix_word = Word(_orbit_bits(params, Fraction(0), 1, prefix_length).tobytes(), 2)
     f1 = {w.symbols for w in factor_set(prefix_word, L)}
 
+    # The breakpoints as integers over D: alpha = a/D and 1-beta = c/D.
     G, g = theta_grid_size, params.guard
-    boundaries = params.boundaries().values()
-    cuts = sorted({(b - n * params.alpha) % 1 for n in range(1, L + 1) for b in boundaries})
-    f2 = set()
+    D = lcm(params.alpha.denominator, params.beta.denominator)
+    a = params.alpha.numerator * (D // params.alpha.denominator)
+    c = D - params.beta.numerator * (D // params.beta.denominator)
+    cuts = sorted({(b - n * a) % D for n in range(1, L + 1) for b in (0, c)})
+    scale = D * g.denominator
+    reps = []  # one grid numerator k per arc that keeps an angle k/G
     kept = 0
-    for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + 1]):
-        # the integers k with lo + g < k/G < hi - g; the last arc wraps past 1
-        k_lo = floor((lo + g) * G) + 1
-        count = ceil((hi - g) * G) - k_lo
+    for lo, hi in zip(cuts, cuts[1:] + [cuts[0] + D]):
+        # the integers k with lo/D + g < k/G < hi/D - g; the last arc wraps past 1
+        k_lo = (lo * g.denominator + g.numerator * D) * G // scale + 1
+        count = -((g.numerator * D - hi * g.denominator) * G // scale) - k_lo
         if count > 0:
             kept += count
-            f2.add(bytes(_orbit_bits(params, Fraction(k_lo % G, G), 1, L)))
-    for theta in boundaries:
-        bits = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
-        for i in range(len(bits) - L + 1):
-            chunk = bits[i : i + L]
-            if None not in chunk:
-                f2.add(bytes(chunk))
+            reps.append(k_lo % G)
+    # every arc's representative k/G in one pass over the denominator lcm(D, G)
+    denom = lcm(D, G)
+    step = a * (denom // D)
+    starts = [(step + k * (denom // G)) % denom for k in reps]
+    f2 = {row.tobytes() for row in _code_orbits(params, denom, starts, 1, L)}
+    for theta in params.boundaries().values():
+        bits, near = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
+        clear = ~sliding_window_view(near, L).any(axis=1)
+        f2.update(row.tobytes() for row in sliding_window_view(bits, L)[clear])
 
     def fmt(items):
         return tuple(sorted(Word(s, 2).to_text() for s in items))

@@ -206,6 +206,10 @@ def _task_spectrum(args):
 
 
 def _task_lyapunov(args):
+    if args.potential != "circle":
+        for name in ("beta", "precision"):
+            if getattr(args, name) is not None:
+                raise InvalidInputError(f"--{name} applies to --potential circle only")
     energies = _parse_energies(args.energies)
     steps = args.steps
     if args.potential == "sturmian":
@@ -321,18 +325,15 @@ def _task_appendix(args):
     n_top = args.range_n
     agreement = {}
     for which, theta in params.boundaries().items():
-        hits = discontinuity_indices(params, theta, n_top)
-        plain = circle_potential_window(params, theta, 1, n_top).values
-        limit = boundary_limit_window(params, which, 1, n_top).values
-        mismatches = [
-            n
-            for n, (u, v) in enumerate(zip(plain, limit), start=1)
-            if u != v and n not in hits
-        ]
+        hits = [n for n in discontinuity_indices(params, theta, n_top) if n >= 1]
+        plain = np.array(circle_potential_window(params, theta, 1, n_top).values)
+        limit = np.array(boundary_limit_window(params, which, 1, n_top).values)
+        mismatches = plain != limit
+        mismatches[np.array(hits, dtype=int) - 1] = False
         agreement[which] = {
-            "mismatches_off_discontinuities": len(mismatches),
-            "discontinuities_in_range": [n for n in hits if n >= 1],
-            "ok": not mismatches,
+            "mismatches_off_discontinuities": int(mismatches.sum()),
+            "discontinuities_in_range": hits,
+            "ok": not mismatches.any(),
         }
 
     hull = hull_factor_comparison(params, args.factor_length, _grid_size(args), args.prefix)

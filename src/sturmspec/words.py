@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import (
     DivergenceError,
     InvalidInputError,
@@ -44,7 +46,8 @@ class Word:
     def __post_init__(self):
         if self.alphabet_size < 1 or self.alphabet_size > 255:
             raise InvalidWordError(f"alphabet size {self.alphabet_size} out of range")
-        if self.symbols and max(self.symbols) >= self.alphabet_size:
+        # the symbols that are left once every valid one is deleted
+        if self.symbols.translate(None, bytes(range(self.alphabet_size))):
             raise InvalidWordError(
                 f"symbol {max(self.symbols)} outside alphabet of size {self.alphabet_size}"
             )
@@ -209,15 +212,43 @@ def fixed_point_prefix(subst, seed, min_length, max_stalled_rounds=64):
     return word
 
 
+def _runs(code):
+    """A permutation sorting ``code``, and in that order the mask of the
+    first entry of each run of equal codes."""
+    order = np.argsort(code)
+    ordered = code[order]
+    first = np.ones(len(code), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return order, first
+
+
 def factor_set(word, length):
-    """All distinct length-``length`` contiguous subwords."""
+    """All distinct length-``length`` contiguous subwords.
+
+    Each window gets an integer code, built one symbol at a time as code * k
+    + symbol over the alphabet size k.  Before a step could pass 2**62 the
+    codes are replaced by their ranks among the distinct codes so far, which
+    keeps distinct windows distinct, so the codes are exact for any length
+    and alphabet.  One window per distinct code is sliced out.
+    """
     if length < 1:
         raise InvalidInputError("factor length must be >= 1")
     if length > len(word):
         raise WindowError(f"factor length {length} exceeds word length {len(word)}")
-    syms = word.symbols
-    distinct = {syms[i : i + length] for i in range(len(syms) - length + 1)}
-    return {Word(s, word.alphabet_size) for s in distinct}
+    k = word.alphabet_size
+    syms = np.frombuffer(word.symbols, dtype=np.uint8)
+    count = len(syms) - length + 1
+    code = np.zeros(count, dtype=np.int64)
+    bound = 1  # every code is below bound
+    for j in range(length):
+        if bound * k > 2**62:
+            order, first = _runs(code)
+            code[order] = np.cumsum(first) - 1
+            bound = int(code[order[-1]]) + 1
+        code = code * k + syms[j : j + count]
+        bound *= k
+    order, first = _runs(code)
+    return {word[i : i + length] for i in order[first].tolist()}
 
 
 @dataclass(frozen=True)

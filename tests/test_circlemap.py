@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -48,15 +49,17 @@ def bits(window):
 def reference_grid_scan(params, L, grid_size, prefix_length):
     """(factors_grid, skipped_thetas) of ``hull_factor_comparison`` from one
     orbit per grid angle, the scan the arc sweep replaced."""
-    _orbit_bits(params, Fraction(0), 1, prefix_length)
+    reference_orbit_bits(params, Fraction(0), 1, prefix_length)
     f2, skipped = set(), 0
     for k in range(grid_size):
         try:
-            f2.add(bytes(_orbit_bits(params, Fraction(k, grid_size), 1, L)))
+            f2.add(bytes(reference_orbit_bits(params, Fraction(k, grid_size), 1, L)))
         except BoundaryAmbiguityError:
             skipped += 1
     for theta in (Fraction(0), 1 - params.beta):
-        bits = _orbit_bits(params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True)
+        bits = reference_orbit_bits(
+            params, theta, -2 * L, 3 * L, flipped=True, mark_ambiguous=True
+        )
         for i in range(len(bits) - L + 1):
             if None not in bits[i : i + L]:
                 f2.add(bytes(bits[i : i + L]))
@@ -115,13 +118,26 @@ def reference_discontinuity_indices(params, theta, range_n):
 
 
 def outcome(fn, *args, **kwargs):
-    """The result, or the error's type (with the index of a boundary hit)."""
+    """The result, or the error's type (with the index of a boundary hit).
+
+    An orbit coding comes back in the list form of ``reference_orbit_bits``:
+    a uint8 array as a list of ints, and the (bits, flags) pair of
+    ``mark_ambiguous`` as a list with None at every flagged point.
+    """
     try:
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
     except BoundaryAmbiguityError as err:
         return BoundaryAmbiguityError, err.index
     except SturmSpecError as err:
         return type(err)
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.uint8
+        return result.tolist()
+    if isinstance(result, tuple) and isinstance(result[0], np.ndarray):
+        bits, near = result
+        assert bits.dtype == np.uint8 and near.dtype == bool and near.shape == bits.shape
+        return [None if flag else b for b, flag in zip(bits.tolist(), near.tolist())]
+    return result
 
 
 def arc_sweep(params, L, grid_size, prefix_length):
@@ -243,6 +259,61 @@ class TestFirstDisagreement:
         b = circle_potential_window(sturmian_params, Fraction(1, 1000), 1, n)
         assert a.values[:-1] == b.values[:-1]
         assert a.values[-1] != b.values[-1]
+
+
+# beta with a 26-digit denominator: about 1/4, and tiny
+WIDE_BETA = Fraction(10**25 // 4 + 1, 10**25)
+TINY_BETA = Fraction(1, 10**25)
+
+
+def python_int_case(golden30, beta, angle, lo, hi, guard=None):
+    """(params, theta, lo, hi) of an orbit whose points need more than int64:
+    denom * (count + 1) >= 2**63 for the common denominator of the kernel."""
+    params = CircleParams(alpha=golden30, beta=beta, guard=guard)
+    theta = angle(params) % 1
+    denom = lcm(golden30.denominator, theta.denominator, beta.denominator)
+    assert denom * (hi - lo + 2) >= 2**63
+    return params, theta, lo, hi
+
+
+PYTHON_INT_CASES = {
+    "tiny-beta-at-0": (TINY_BETA, lambda p: Fraction(0), -500, 500),
+    "tiny-beta-at-cut": (TINY_BETA, lambda p: 1 - p.beta, -300, 300),
+    "tiny-beta-hit-at-7": (TINY_BETA, lambda p: 1 - p.beta - 7 * p.alpha, 1, 50),
+    "wide-beta": (WIDE_BETA, lambda p: Fraction(1, 3), -2000, 2000),
+    "wide-beta-hit-at-1234": (WIDE_BETA, lambda p: 1 - p.beta - 1234 * p.alpha, 1, 3000),
+    "on-the-guard-at-5": (WIDE_BETA, lambda p: p.guard - 5 * p.alpha, -20, 20),
+    "just-past-the-guard": (WIDE_BETA, lambda p: p.guard - 5 * p.alpha + Fraction(1, 10**30),
+                            -20, 20),
+    # int64 would hold the denominator, but not 10 000 steps of it
+    "long-orbit": (Fraction(1, 4), lambda p: Fraction(123456789, 10**9), 1, 10000),
+}
+
+
+class TestPythonIntOrbits:
+    @pytest.mark.parametrize("mode", ["plain", "flipped", "mark_ambiguous"])
+    @pytest.mark.parametrize("case", PYTHON_INT_CASES.values(), ids=PYTHON_INT_CASES.keys())
+    def test_matches_reference(self, golden30, case, mode):
+        params, theta, lo, hi = python_int_case(golden30, *case)
+        flags = {"flipped": mode == "flipped", "mark_ambiguous": mode == "mark_ambiguous"}
+        expected = outcome(reference_orbit_bits, params, theta, lo, hi, **flags)
+        assert outcome(_orbit_bits, params, theta, lo, hi, **flags) == expected
+
+    def test_hits_past_zero_raise_at_their_index(self, golden30):
+        # the cases above do reach a boundary where they are built to
+        for key, index in [("tiny-beta-hit-at-7", 7), ("wide-beta-hit-at-1234", 1234),
+                           ("on-the-guard-at-5", 5)]:
+            params, theta, lo, hi = python_int_case(golden30, *PYTHON_INT_CASES[key])
+            assert outcome(_orbit_bits, params, theta, lo, hi) == (BoundaryAmbiguityError, index)
+
+    def test_first_disagreement(self, golden30):
+        # one chunk of first_disagreement, so one orbit of the reference
+        params, theta, _, _ = python_int_case(golden30, WIDE_BETA, lambda p: Fraction(1, 997),
+                                              1, 4000)
+        b0 = reference_orbit_bits(params, Fraction(0), 1, 4000)
+        b1 = reference_orbit_bits(params, theta, 1, 4000)
+        expected = next(n for n, (u, v) in enumerate(zip(b0, b1), start=1) if u != v)
+        assert first_disagreement(params, Fraction(0), theta, 4000) == expected
 
 
 class TestHullComparison:

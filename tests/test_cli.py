@@ -418,6 +418,12 @@ class TestRefusedRuns:
             (["word", "--model", "fibonacci", "--length", "8", "--seed", "b"], 2, "--seed"),
             (["word", "--alpha-period", ":1", "--length", "8", "--seed", "a"], 2, "--seed"),
             (["word", "--alpha-period", ":1", "--tower", "3", "--length", "8"], 2, "--length"),
+            (["lyapunov", "--potential", "sturmian", "--alpha-period", ":1", "--beta", "zz",
+              "--energies", "0", "--steps", "1000"], 2, "--beta"),
+            (FREE_LYAPUNOV + ["--energies", "0", "--precision", "1/100"], 2, "--precision"),
+            # refused before the energies are read
+            (["lyapunov", "--alpha-period", ":1", "--precision", "zz", "--energies", "zz"],
+             2, "--precision"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

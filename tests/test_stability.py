@@ -16,7 +16,6 @@ from sturmspec import (
     convergents,
     detect_square_prefix,
     gordon_certificate,
-    iterate_solution,
     periodic_window,
     stability_measure_bound,
     standard_words,
@@ -27,6 +26,7 @@ from sturmspec import (
 )
 from sturmspec.errors import InvalidInputError, WindowError
 from sturmspec.spectrum import band_samples, intersect_intervals
+from trajectories import iterate_solution
 
 
 def reference_nondecay(window, n, energy, seeds):

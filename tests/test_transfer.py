@@ -13,7 +13,6 @@ from sturmspec import (
     c_alpha_prefix,
     constant_window,
     convergents,
-    iterate_solution,
     lyapunov_estimate,
     standard_words,
     sturmian_tower,
@@ -25,6 +24,7 @@ from sturmspec import (
 )
 from sturmspec.errors import DepthError, InvalidInputError, WindowError
 from sturmspec.transfer import multiply, site_state, state_power
+from trajectories import iterate_solution
 
 
 def matrices_close(state_a, state_b, tol=1e-8):

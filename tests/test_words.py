@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     SUBSTITUTION_TABLE,
@@ -125,6 +127,45 @@ class TestFactorSet:
     def test_window_error(self):
         with pytest.raises(WindowError):
             factor_set(w("01"), 3)
+
+
+@st.composite
+def words_and_factor_lengths(draw):
+    """A word over 1..255 symbols of length up to 2000, and a factor length.
+    Most words are sparse (one background symbol), so two long windows can
+    differ only far from their ends: a code that lost its leading symbols
+    would merge them."""
+    k = draw(st.integers(1, 255))
+    n = draw(st.integers(1, 2000))
+    density = draw(st.sampled_from([0.0, 0.002, 0.02, 0.2, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    background = rng.randrange(k)
+    syms = bytes(rng.randrange(k) if rng.random() < density else background for _ in range(n))
+    length = draw(st.one_of(st.integers(1, min(n, 80)), st.integers(1, n)))
+    return Word(syms, k), length
+
+
+def sparse_word(k, n, ones):
+    syms = bytearray(n)
+    for i in ones:
+        syms[i] = k - 1
+    return Word(bytes(syms), k)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=words_and_factor_lengths())
+# codes that pass 2**62 are re-ranked: 200**9 and 2**63 do, 200**8 does not
+@example(case=(sparse_word(200, 400, [0, 37, 150, 151, 390]), 9))
+@example(case=(sparse_word(200, 400, [0, 37, 150, 151, 390]), 30))
+@example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 63))
+@example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 100))
+@example(case=(sparse_word(255, 2000, range(0, 2000, 97)), 2000))
+def test_factor_set_matches_byte_slices(case):
+    word, length = case
+    syms = word.symbols
+    naive = {Word(syms[i : i + length], word.alphabet_size)
+             for i in range(len(syms) - length + 1)}
+    assert factor_set(word, length) == naive
 
 
 class TestFrequency:
