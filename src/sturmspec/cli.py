@@ -150,7 +150,16 @@ def _parse_energies(text):
     return energies
 
 
+def _refuse_unread(args, names, where):
+    """Exit 2 on any of the options ``names`` given where they are not read."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise InvalidInputError(f"--{name.replace('_', '-')} {where}")
+
+
 def _task_word(args):
+    if args.model or args.subst:
+        _refuse_unread(args, ("alpha_cf", "alpha_period"), "does not apply to --model or --subst")
     if args.seed is not None and not args.subst:
         raise InvalidInputError("--seed applies to --subst only")
     if args.tower is not None and args.length is not None:
@@ -207,9 +216,9 @@ def _task_spectrum(args):
 
 def _task_lyapunov(args):
     if args.potential != "circle":
-        for name in ("beta", "precision"):
-            if getattr(args, name) is not None:
-                raise InvalidInputError(f"--{name} applies to --potential circle only")
+        _refuse_unread(args, ("beta", "precision"), "applies to --potential circle only")
+    if args.potential == "free":
+        _refuse_unread(args, ("alpha_cf", "alpha_period"), "does not apply to --potential free")
     energies = _parse_energies(args.energies)
     steps = args.steps
     if args.potential == "sturmian":

@@ -12,11 +12,14 @@ touching bands and is refused.
 
 A period word whose reversal is one of its rotations has a mirror,
 V(m - j) = V(j) (mod q); every standard word does, being a product of two
-palindromes (Hof-Knill-Simon, CMP 174, 1995).  The mirror splits each of the
-two Hamiltonians into two blocks of about q/2 sites, so the dense
-eigensolver does about a quarter of the O(q^3) work of the full matrices; a
-word without a mirror is one block per corner.  The cost still limits this
-route to periods of a few thousand; longer periods are refused (MAX_PERIOD).
+palindromes (Hof-Knill-Simon, CMP 174, 1995).  Folding the q-cycle along the
+mirror gives a path of about q/2 nodes, so each of the two Hamiltonians
+splits into two Jacobi (symmetric tridiagonal) chains on that path which
+differ only in the signs at their two ends, and the dense eigensolver does
+about a quarter of the O(q^3) work of the full matrices.  For q <= 2 or a
+word without a mirror there is no fold, and each corner is its full q x q
+matrix.  The cost still limits this route to periods of a few thousand;
+longer periods are refused (MAX_PERIOD).
 
 The almost sure spectrum itself has no finite description; throughout, the
 intersection of two consecutive approximant spectra serves as its proxy and
@@ -32,15 +35,16 @@ import numpy as np
 
 from .errors import InvalidInputError, ResolutionError
 from .potentials import constant_window, window_from_word
-from .sturmian import c_alpha_prefix, standard_words
+from .sturmian import _standard_bytes, c_alpha_prefix
 from .transfer import lyapunov_estimate, sturmian_traces
+from .words import Word
 
 # Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
 # every eigenvalue within a small multiple of eps * ||H|| of the exact one,
 # and ||H|| <= 2 + max|V|.
 CLOSED_GAP_EPS = 64
 
-# Longest period the eigensolver is given: at the limit each mirror block
+# Longest period the eigensolver is given: at the limit the folded chain
 # takes 50 MB (a full q x q matrix would take 200 MB).  On a 2-vCPU Xeon with
 # OpenBLAS, golden level 18 (q = 4181) takes about 1.4 s with a 100 MB peak,
 # and a mirrored q = 5000 word about 3.4 s with a 130 MB peak.
@@ -64,68 +68,73 @@ def _mirror_axis(symbols):
     return None if k < 0 else (k + q - 1) % q
 
 
+def _full_eigenvalues(values, corner):
+    """Eigenvalues of the q x q Hamiltonian with the wrap bond (q-1, 0)
+    weighted by ``corner``.  Every bond is accumulated, so for q = 2 the
+    wrap bond adds to the hopping entry and for q = 1 it lands twice on the
+    diagonal (V_0 + 2 corner)."""
+    q = len(values)
+    h = np.diag(values)
+    site = np.arange(q)
+    hop = np.ones(q)
+    hop[-1] = corner
+    np.add.at(h, (site, (site + 1) % q), hop)
+    np.add.at(h, ((site + 1) % q, site), hop)
+    return np.linalg.eigvalsh(h)
+
+
 def _edge_eigenvalues(symbols, values):
     """The 2q eigenvalues, sorted, of the periodic and antiperiodic
     Hamiltonians of one period (module docstring): tr M(E) = +2 at the
     first, -2 at the second.
 
-    Both Hamiltonians commute with an involution S, a signed permutation of
-    the sites, so each splits into the blocks B = A^T H A on the S = +1 and
-    S = -1 eigenspaces.  With the mirror m of the word, S e_j = +-e_{m-j}:
-    the reflection itself for the periodic corner, and for the antiperiodic
-    one the reflection followed by a sign flip of sites 0..m, which moves
-    the twisted bond back to (q-1, 0).  A pair {j, m-j} gives one column to
-    each block, (e_j +- e_{m-j}) / sqrt 2 with the sign of S; a fixed site
-    gives the column e_j to the block of its sign only.  Without a mirror S
-    is the identity and each corner is one block.
+    With the mirror m of the word, the reflection j -> m - j of the q-cycle
+    fixes two axis points, m/2 and m/2 + q/2 (mod q): an integer one is a
+    fixed site, a half-integer one a fixed bond (j, j + 1) with j + 1 = m - j.
+    Folding the cycle along the axis gives a path from one axis point to the
+    other whose nodes are the orbits {j, m - j}, so on the even and odd
+    functions under the reflection each Hamiltonian is a Jacobi chain: V
+    along the path on the diagonal, 1 off it, except sqrt 2 between a fixed
+    site and the pair next to it.  The four blocks differ only in the sign
+    of each end: at a fixed site + keeps the site and - drops it; at a fixed
+    bond the end pair's diagonal gets +1 or -1.  The periodic corner is the
+    two blocks with equal signs; the antiperiodic twist, gauged onto the
+    second axis point, flips that end's sign, so its blocks have opposite
+    signs.  For q <= 2 or a word without a mirror no fold exists and each
+    corner is the full q x q matrix.
     """
     q = len(values)
-    site = np.arange(q)
-    m = _mirror_axis(symbols)
-    partner = site if m is None else (m - site) % q
-    # the sites whose sign the antiperiodic S flips
-    flipped = site <= m if m is not None else np.zeros(q, dtype=bool)
-    lead, trail, fixed = site < partner, site > partner, site == partner
-    # Rows in block order: the fixed sites the antiperiodic S flips, one lead
-    # site per pair, the other fixed sites.  Each block is then a contiguous
-    # slice of rows.
-    low, high = site[fixed & flipped], site[fixed & ~flipped]
-    pairs = site[lead]
-    rows = np.concatenate([low, pairs, high])
-    size = rows.size
-    col = np.empty(q, dtype=np.intp)
-    col[rows] = np.arange(size)
-    col[partner[pairs]] = col[pairs]
-    # B[col(r), col(j)] sums w_r H[r, j] a_j over the neighbours j = r-1,
-    # r, r+1 of each row site r, where a_j is the site's entry in its
-    # column and w_r = 1 / a_r turns (H A)[r] into the row of A^T H A.
-    # On the periodic corner's S = +1 block, a_j is 1 on a fixed site and
-    # 1/sqrt 2 on a paired one.
-    nbrs = (rows + np.array([[-1], [0], [1]])) % q
-    hop = np.ones((3, size))
-    hop[1] = values[rows]
-    scale = np.where(fixed, 1.0, np.sqrt(0.5))
-    base = (hop * scale[nbrs] / scale[rows]).ravel()
-    index = (np.arange(size) * size + col[nbrs]).ravel()
-    # the S = -1 blocks negate the trailing member of each pair; the
-    # antiperiodic corner negates the wrap bond, and its S also the
-    # trailing members it flips
-    to_odd = np.where(trail[nbrs], -1.0, 1.0).ravel()
-    wrap = np.zeros((3, size), dtype=bool)
-    wrap[0] = rows == 0
-    wrap[2] = rows == q - 1
-    to_anti = np.where(wrap ^ (trail & flipped)[nbrs], -1.0, 1.0).ravel()
-    n_low, n_pairs = low.size, pairs.size
-    blocks = (  # periodic S = +1 and -1, then antiperiodic S = +1 and -1
-        (base, slice(0, size)),
-        (base * to_odd, slice(n_low, n_low + n_pairs)),
-        (base * to_anti, slice(n_low, size)),
-        (base * to_anti * to_odd, slice(0, n_low + n_pairs)),
-    )
+    m = _mirror_axis(symbols) if q > 2 else None
+    if m is None:
+        return np.sort(np.concatenate([_full_eigenvalues(values, c) for c in (1.0, -1.0)]))
+    # the walk from the first axis point (just past it, at a fixed bond) to
+    # the second: n >= 2 nodes for q >= 3
+    first, last = (m + 1) // 2, (m + q) // 2
+    n = last - first + 1
+    diagonal = values[np.arange(first, last + 1) % q]
+    site_ends = (m % 2 == 0, (m + q) % 2 == 0)
+    hops = np.ones(n - 1)
+    if site_ends[0]:
+        hops[0] = math.sqrt(2.0)
+    if site_ends[1]:
+        hops[-1] = math.sqrt(2.0)
+    chain = np.zeros((n, n))
+    chain.flat[:: n + 1] = diagonal
+    chain.flat[1 :: n + 1] = hops
+    chain.flat[n :: n + 1] = hops
     eigenvalues = []
-    for weights, keep in blocks:
-        block = np.bincount(index, weights, size * size).reshape(size, size)
-        eigenvalues.append(np.linalg.eigvalsh(block[keep, keep]))
+    # periodic (+, +) and (-, -), then antiperiodic (+, -) and (-, +)
+    for head, tail in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)):
+        lo, hi = 0, n
+        if site_ends[0]:
+            lo = int(head < 0)
+        else:
+            chain[0, 0] = diagonal[0] + head
+        if site_ends[1]:
+            hi = n - int(tail < 0)
+        else:
+            chain[-1, -1] = diagonal[-1] + tail
+        eigenvalues.append(np.linalg.eigvalsh(chain[lo:hi, lo:hi]))
     return np.sort(np.concatenate(eigenvalues))
 
 
@@ -176,7 +185,7 @@ def band_spectrum(word, coupling, level=None):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     where = f"level {level}, q={q}" if level is not None else f"q={q}"
     _refuse_long_period(q, where)
-    values = np.array(window_from_word(word, coupling).values, dtype=float)
+    values = np.frombuffer(word.symbols, np.uint8) * float(coupling)
     edges = _edge_eigenvalues(word.symbols, values)
     lo, hi = edges[0::2], edges[1::2]
     tol = CLOSED_GAP_EPS * np.finfo(float).eps * (2.0 + float(np.max(np.abs(values))))
@@ -258,7 +267,7 @@ def sturmian_band_spectrum(cf, coupling, level):
     """Band spectrum of the level-``level`` standard word."""
     if 0 <= level <= cf.depth:  # refused before the tower spells the word out
         _refuse_long_period(cf.q[level], f"level {level}, q={cf.q[level]}")
-    word = standard_words(cf, level).word(level)
+    word = Word(_standard_bytes(cf, level)[-1], 2)
     return band_spectrum(word, coupling, level=level)
 
 

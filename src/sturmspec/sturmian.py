@@ -123,27 +123,33 @@ class StandardWordTower:
         return self.words[n + 1]
 
 
-def standard_words(cf, level):
-    """Build the tower up to s_level (level <= number of CF coefficients)."""
+def _standard_bytes(cf, level):
+    """s_{-1}..s_level as ``bytes`` (index n + 1 holds s_n), with the
+    length and prefix checks of the tower."""
     if level < 0:
         raise InvalidInputError("tower level must be >= 0")
     if level > cf.depth:
         raise DepthError(
             f"tower level {level} needs {level} coefficients, have {cf.depth}"
         )
-    words = [Word(b"\x01", 2), Word(b"\x00", 2)]  # s_{-1}, s_0
+    words = [b"\x01", b"\x00"]  # s_{-1}, s_0
     if level >= 1:
-        a1 = cf.coefficient(1)
-        words.append(words[1] * (a1 - 1) + words[0])
+        words.append(words[1] * (cf.coefficient(1) - 1) + words[0])
     for n in range(2, level + 1):
         words.append(words[-1] * cf.coefficient(n) + words[-2])
     for n in range(0, level + 1):
         if len(words[n + 1]) != cf.q[n]:
             raise InvalidInputError(f"|s_{n}| != q_{n}; tower construction broken")
     for n in range(2, level + 1):
-        if not words[n].is_prefix_of(words[n + 1]):
+        if not words[n + 1].startswith(words[n]):
             raise InvalidInputError(f"s_{n - 1} is not a prefix of s_{n}")
-    return StandardWordTower(cf=cf, words=tuple(words))
+    return words
+
+
+def standard_words(cf, level):
+    """Build the tower up to s_level (level <= number of CF coefficients)."""
+    words = tuple(Word(symbols, 2) for symbols in _standard_bytes(cf, level))
+    return StandardWordTower(cf=cf, words=words)
 
 
 def c_alpha_prefix(cf, length):

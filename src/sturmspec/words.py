@@ -66,7 +66,10 @@ class Word:
             letters = "01" if self.alphabet_size <= 2 else DEFAULT_LETTERS
         if len(letters) < self.alphabet_size:
             raise InvalidInputError("display alphabet smaller than word alphabet")
-        return "".join(letters[s] for s in self.symbols)
+        # each byte decodes to the code point of its value, which the table
+        # maps to its letter
+        table = dict(enumerate(letters[: self.alphabet_size]))
+        return self.symbols.decode("latin-1").translate(table)
 
     def __len__(self):
         return len(self.symbols)

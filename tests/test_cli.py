@@ -424,6 +424,14 @@ class TestRefusedRuns:
             # refused before the energies are read
             (["lyapunov", "--alpha-period", ":1", "--precision", "zz", "--energies", "zz"],
              2, "--precision"),
+            # the rotation options with a mode that reads no rotation number,
+            # refused before the malformed value or the energies are read
+            (["word", "--subst", "a:ab,b:a", "--length", "8", "--alpha-cf", "zz"],
+             2, "--alpha-cf"),
+            (["word", "--model", "fibonacci", "--length", "8", "--alpha-period", ":1"],
+             2, "--alpha-period"),
+            (FREE_LYAPUNOV + ["--alpha-cf", "0,-3", "--energies", "0"], 2, "--alpha-cf"),
+            (FREE_LYAPUNOV + ["--alpha-period", ":1", "--energies", "zz"], 2, "--alpha-period"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

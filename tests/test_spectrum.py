@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sturmspec import (
@@ -201,6 +201,16 @@ def period_words(draw):
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(word=period_words())
+# no fold: q = 1, q = 2 and a word without a mirror
+@example(word=(b"\x01", np.array([2.5]), True))
+@example(word=(b"\x01\x00", np.array([3.0, -1.0]), True))
+@example(word=(b"\x00\x00\x01\x00\x01\x01", np.array([0.5, 0.5, -4.0, 0.5, -4.0, -4.0]), False))
+# each fold shape, named by what sits on the axis points m/2 and m/2 + q/2
+# (test_mirror_axis_by_hand): site-site, bond-bond, site-bond, bond-site
+@example(word=(bytes([0, 1, 2, 0, 2, 1]), np.array([1.0, -2.0, 7.0, 1.0, 7.0, -2.0]), True))
+@example(word=(bytes([0, 0, 1, 1]), np.array([3.0, 3.0, -1.0, -1.0]), True))
+@example(word=(bytes([0, 1, 1]), np.array([-6.0, 2.0, 2.0]), True))
+@example(word=(bytes([0, 0, 1, 2, 1]), np.array([5.0, 5.0, 0.0, -5.0, 0.0]), True))
 def test_mirror_split_matches_dense_reference(word):
     symbols, values, mirrored = word
     if mirrored:
@@ -216,6 +226,28 @@ def test_mirror_axis_by_hand():
     assert _mirror_axis(b"\x01\x00") == 0  # V(-j) = V(j): "10" is its own mirror
     assert _mirror_axis(b"\x00\x01\x00\x01\x01") == 2
     assert _mirror_axis(b"\x00\x00\x01\x00\x01\x01") is None
+    # the fold shapes: m even puts a fixed site on m/2, m + q even one on
+    # m/2 + q/2; an odd one puts a fixed bond there
+    assert _mirror_axis(bytes([0, 1, 2, 0, 2, 1])) == 0  # site-site
+    assert _mirror_axis(bytes([0, 0, 1, 1])) == 1  # bond-bond
+    assert _mirror_axis(bytes([0, 1, 1])) == 0  # site-bond
+    assert _mirror_axis(bytes([0, 0, 1, 2, 1])) == 1  # bond-site
+
+
+@pytest.mark.parametrize("coupling", [0.3, 1.0, 3.0, 5.0, 10.0])
+@pytest.mark.parametrize("coefficient", [1, 2])
+def test_fold_matches_dense_reference_on_deep_standard_words(coefficient, coupling):
+    # golden (:1) and silver (:2) standard words up to q ~ 400, where the
+    # spectrum clusters into many narrow bands
+    cf = convergents([coefficient] * 20)
+    top = max(n for n in range(cf.depth + 1) if cf.q[n] <= 420)
+    tower = standard_words(cf, top)
+    for level in range(top + 1):
+        symbols = tower.word(level).symbols
+        values = np.frombuffer(symbols, np.uint8) * coupling
+        tol = 64 * np.finfo(float).eps * (2.0 + np.max(np.abs(values)))
+        fold = _edge_eigenvalues(symbols, values)
+        assert np.max(np.abs(fold - _dense_edge_eigenvalues(values))) <= tol
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

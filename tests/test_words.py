@@ -168,6 +168,26 @@ def test_factor_set_matches_byte_slices(case):
     assert factor_set(word, length) == naive
 
 
+@st.composite
+def words_and_letters(draw):
+    """A word over 1..255 symbols and a display alphabet at least that long,
+    of distinct letters from all of Unicode (surrogates excluded)."""
+    k = draw(st.integers(1, 255))
+    syms = draw(st.binary(max_size=400)).translate(bytes(b % k for b in range(256)))
+    letters = draw(st.lists(st.characters(), min_size=k, max_size=k + 3, unique=True))
+    return Word(syms, k), "".join(letters)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=words_and_letters())
+@example(case=(Word(bytes([0, 1, 0, 0, 1]), 2), "αβ"))
+@example(case=(Word(bytes([2, 0, 1, 2]), 3), "\U0001d51e\U0001d51f\x00"))
+@example(case=(Word(bytes(range(255)), 255), "".join(map(chr, range(1000, 1255)))))
+def test_to_text_matches_per_symbol_join(case):
+    word, letters = case
+    assert word.to_text(letters) == "".join(letters[s] for s in word.symbols)
+
+
 class TestFrequency:
     def test_full_overlap(self):
         est = frequency(w("aaaa", "ab"), w("aa", "ab"))
