@@ -63,6 +63,20 @@ CSV_HEADERS = {
 }
 
 
+# Defaults of --cf-depth and --lambda.  The parser leaves both None, so a mode
+# that does not read one can refuse it when given; where the value is read,
+# and in the config echo, None stands for the default.
+DEFAULTS = {"cf_depth": 40, "coupling": 1.0}
+
+# Options whose flag is not their destination name spelled with dashes
+FLAGS = {"coupling": "--lambda"}
+
+
+def _value(args, name):
+    value = getattr(args, name)
+    return DEFAULTS[name] if value is None else value
+
+
 # Largest decimal exponent a fraction option takes: Fraction("1e-N") builds
 # 10**N, whose cost grows faster than N, and every later step of exact orbit
 # arithmetic carries its N digits.  A spelled-out decimal reaches no further:
@@ -91,7 +105,7 @@ def _resolve_cf(args):
         pre_text, _, per_text = args.alpha_period.partition(":")
         pre = parse_cf_spec(pre_text) if pre_text.strip() else []
         per = parse_cf_spec(per_text) if per_text.strip() else []
-        coeffs = periodic_coefficients(pre, per, args.cf_depth)
+        coeffs = periodic_coefficients(pre, per, _value(args, "cf_depth"))
     else:
         raise InvalidInputError("need --alpha-cf or --alpha-period")
     return convergents(coeffs)
@@ -154,12 +168,15 @@ def _refuse_unread(args, names, where):
     """Exit 2 on any of the options ``names`` given where they are not read."""
     for name in names:
         if getattr(args, name) is not None:
-            raise InvalidInputError(f"--{name.replace('_', '-')} {where}")
+            flag = FLAGS.get(name, "--" + name.replace("_", "-"))
+            raise InvalidInputError(f"{flag} {where}")
 
 
 def _task_word(args):
     if args.model or args.subst:
-        _refuse_unread(args, ("alpha_cf", "alpha_period"), "does not apply to --model or --subst")
+        _refuse_unread(
+            args, ("alpha_cf", "alpha_period", "cf_depth"), "does not apply to --model or --subst"
+        )
     if args.seed is not None and not args.subst:
         raise InvalidInputError("--seed applies to --subst only")
     if args.tower is not None and args.length is not None:
@@ -194,11 +211,12 @@ def _task_word(args):
 
 def _task_spectrum(args):
     cf = _resolve_cf(args)
+    coupling = _value(args, "coupling")
     levels = _parse_levels(args.levels, cf.depth)
     rows = []
     prev = None
     for level in levels:
-        spec = sturmian_band_spectrum(cf, args.coupling, level)
+        spec = sturmian_band_spectrum(cf, coupling, level)
         inter = measure_and_intersect(prev, spec).measure_intersection if prev else None
         rows.append(
             {
@@ -218,15 +236,20 @@ def _task_lyapunov(args):
     if args.potential != "circle":
         _refuse_unread(args, ("beta", "precision"), "applies to --potential circle only")
     if args.potential == "free":
-        _refuse_unread(args, ("alpha_cf", "alpha_period"), "does not apply to --potential free")
+        _refuse_unread(
+            args,
+            ("alpha_cf", "alpha_period", "cf_depth", "coupling"),
+            "does not apply to --potential free",
+        )
     energies = _parse_energies(args.energies)
     steps = args.steps
     if args.potential == "sturmian":
-        window = window_from_word(c_alpha_prefix(_resolve_cf(args), steps), args.coupling)
+        coupling = _value(args, "coupling")
+        window = window_from_word(c_alpha_prefix(_resolve_cf(args), steps), coupling)
     elif args.potential == "free":
         window = constant_window(0.0, 1, steps)
     else:  # circle
-        params = _circle_params(args, args.coupling)
+        params = _circle_params(args, _value(args, "coupling"))
         window = circle_potential_window(params, Fraction(0), -steps, steps)
     est = lyapunov_estimate(window, np.asarray(energies), steps)
     gamma_minus = [None] * len(energies) if est.gamma_minus is None else est.gamma_minus.tolist()
@@ -241,6 +264,7 @@ def _task_gordon(args):
     if args.seeds < 1:
         raise InvalidInputError(f"--seeds must be >= 1, got {args.seeds}")
     cf = _resolve_cf(args)
+    coupling = _value(args, "coupling")
     level = args.level
     energies = None
     if args.energies.startswith("from-spectrum:"):
@@ -253,10 +277,10 @@ def _task_gordon(args):
         energies = _parse_energies(args.energies)
         proxy = max(level, 8)
     # the scan refuses a proxy period above MAX_PERIOD before the square is spelled out
-    scan = trace_bound_scan(cf, args.coupling, level_max=proxy, proxy_level=proxy)
+    scan = trace_bound_scan(cf, coupling, level_max=proxy, proxy_level=proxy)
     s_n = standard_words(cf, level).word(level)
     q_n = cf.q[level]
-    window = window_from_word(s_n + s_n, args.coupling, provenance=f"square s_{level}^2")
+    window = window_from_word(s_n + s_n, coupling, provenance=f"square s_{level}^2")
     if energies is None:
         energies = band_samples(scan.proxy_bands, 1)
     c_bound = scan.derived_constant()
@@ -310,7 +334,7 @@ def _task_hull_check(args):
 
 
 def _task_appendix(args):
-    params = _circle_params(args, args.coupling)
+    params = _circle_params(args, _value(args, "coupling"))
     lam = params.coupling
     w0 = boundary_limit_window(params, AT_ZERO, 0, 0)
     wb = boundary_limit_window(params, AT_ONE_MINUS_BETA, 0, 0)
@@ -373,9 +397,8 @@ TASKS = {
 
 def _config_echo(args):
     skip = {"task", "func", "out"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+    config = {k: DEFAULTS.get(k) if v is None else v for k, v in sorted(vars(args).items())}
+    return {k: v for k, v in config.items() if k not in skip and v is not None}
 
 
 def run_experiment(args):
@@ -436,10 +459,10 @@ def build_parser():
         "--alpha-period",
         help="eventually periodic CF as pre:period, e.g. ':1' for the golden mean",
     )
-    rotation.add_argument("--cf-depth", type=int, default=40, help="periodic CF unroll depth")
+    rotation.add_argument("--cf-depth", type=int, help="periodic CF unroll depth (default 40)")
     rotation.add_argument("--out", help="output path (default stdout)")
     lam = argparse.ArgumentParser(add_help=False)
-    lam.add_argument("--lambda", dest="coupling", type=float, default=1.0, help="coupling")
+    lam.add_argument("--lambda", dest="coupling", type=float, help="coupling (default 1.0)")
     circle = argparse.ArgumentParser(add_help=False)
     circle.add_argument("--beta", help="indicator length as p/q")
     circle.add_argument("--precision", help="boundary guard as p/q")

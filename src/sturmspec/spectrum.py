@@ -28,6 +28,7 @@ the level is always reported alongside results.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -254,13 +255,14 @@ def measure_and_intersect(a, b):
 
 
 def band_samples(intervals, per_band=3):
-    """Evenly spaced interior sample energies, per_band per interval
-    (per_band=3 gives the quartile points and the midpoint)."""
-    pts = []
-    for lo, hi in intervals:
-        for i in range(1, per_band + 1):
-            pts.append(lo + (hi - lo) * i / (per_band + 1))
-    return pts
+    """Evenly spaced interior sample energies, per_band per interval, as one
+    1-d array in interval order (per_band=3 gives the quartile points and the
+    midpoint): lo + (hi - lo) * i / (per_band + 1) for i = 1..per_band."""
+    if per_band < 1:
+        raise InvalidInputError(f"per_band must be >= 1, got {per_band}")
+    bounds = np.fromiter(itertools.chain.from_iterable(intervals), float).reshape(-1, 2)
+    lo, hi = bounds[:, :1], bounds[:, 1:]
+    return (lo + (hi - lo) * np.arange(1, per_band + 1) / (per_band + 1)).reshape(-1)
 
 
 def sturmian_band_spectrum(cf, coupling, level):
@@ -304,23 +306,28 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
         raise InvalidInputError("trace bound needs a non-zero coupling")
     if level_max < 0:
         raise InvalidInputError("level_max must be >= 0")
+    if samples_per_band < 1:
+        raise InvalidInputError(f"samples_per_band must be >= 1, got {samples_per_band}")
     proxy = level_max if proxy_level is None else proxy_level
     spec_a = sturmian_band_spectrum(cf, coupling, proxy)
     spec_b = sturmian_band_spectrum(cf, coupling, proxy + 1)
     proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
     energies = band_samples(proxy_bands, samples_per_band)
-    if not energies:
+    if not energies.size:
         raise ResolutionError("proxy spectrum intersection is empty")
-    traces = sturmian_traces(cf, coupling, np.asarray(energies), level_max)
-    # a NaN trace comes from an overflow (inf - inf) and counts as unbounded
-    sups = [float(np.max(np.where(np.isnan(t), np.inf, abs(t)))) for t in traces[1:]]
+    traces = sturmian_traces(cf, coupling, energies, level_max)
+    # a NaN trace comes from an overflow (inf - inf) and counts as unbounded;
+    # the max over a level propagates it
+    sups = abs(np.stack(traces[1:])).max(axis=1)
+    sups[np.isnan(sups)] = np.inf
+    sups = tuple(sups.tolist())
     return TraceBoundReport(
         level_max=level_max,
         proxy_level=proxy,
         coupling=coupling,
         proxy_bands=tuple(proxy_bands),
-        sample_energies=tuple(energies),
-        sup_per_level=tuple(sups),
+        sample_energies=tuple(energies.tolist()),
+        sup_per_level=sups,
         overall_sup=max(sups),
     )
 
@@ -357,7 +364,7 @@ def zero_lyapunov_check(cf, coupling, level, steps, gap_controls=4):
     proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
     if not proxy_bands:
         raise ResolutionError("proxy spectrum intersection is empty")
-    in_energies = band_samples(proxy_bands, per_band=1)
+    in_energies = band_samples(proxy_bands, per_band=1).tolist()
 
     union = union_intervals(spec_a.bands, spec_b.bands)
     gaps = [

@@ -53,15 +53,15 @@ class GordonCertificate:
     provenance: str
 
 
-def _apply(state, u0, u1, rows):
+def _apply(state, u0, u1, rows=slice(None)):
     """U(k) = (u(k+1), u(k)) from the seed (u(0), u(1)) and the product over
-    [1, k] on an (m, 1) energy column, at the rows selected by the boolean
-    mask ``rows``: two (rows, seeds) arrays.  A product over one site keeps
-    float entries, so each entry is broadcast to the column before masking,
-    and the scale is multiplied out at the selected rows only."""
-    column = (rows.size, 1)
-    a, b, c, d, log_scale = (np.broadcast_to(x, column)[rows] for x in (*state.m, state.log_scale))
-    a, b, c, d = (x * np.exp(log_scale) for x in (a, b, c, d))
+    [1, k] on an (m, 1) energy column, at the rows ``rows`` selects: two
+    (rows, seeds) arrays.  The rows are taken before the entries are scaled
+    by exp(log_scale); a product over one site leaves some entries floats,
+    which broadcast as they are."""
+    a, b, c, d, log_scale = (x[rows] if np.ndim(x) else x for x in (*state.m, state.log_scale))
+    scale = np.exp(log_scale)
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
     return a * u1 + b * u0, c * u1 + d * u0
 
 
@@ -70,7 +70,17 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
 
     The product over [1, n] at all energies gives the traces and U(n); the
     product over [1, 2n] is taken at the certified energies only, so an
-    uncertified energy never needs the longer product to stay finite."""
+    uncertified energy never needs the longer product to stay finite.
+
+    Each seed is scaled by the exact power of two 2**-e that puts its norm
+    in [0.5, 1), so no seed's size can overflow or underflow the squared
+    norms.  The squared norms of U(n) and U(2n) are compared directly,
+    divided by the seed's, and one square root per energy is taken after
+    the minimum over the seeds.  Scaling by a power of two is exact while no
+    scaled component falls below the normal range, so the identity residual,
+    scaled back by 2**e, has the bits it would have without the scaling.
+    The squares overflow only where ||U(n)|| or ||U(2n)|| passes about
+    1e154 times the seed's norm."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
@@ -93,16 +103,19 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     min_ratio = np.full(energy.shape, np.nan)
     max_residual = np.full(energy.shape, np.nan)
     if certified.any():
-        un1, un = _apply(block, u0, u1, certified)
-        block2 = transfer_product(window, energy[certified, None], 1, 2 * n)
-        u2n1, u2n = _apply(block2, u0, u1, certified[certified])  # every row of block2
-        tr = tr[certified]
         norm0 = np.hypot(u1, u0)
-        ratios = np.maximum(np.hypot(un1, un), np.hypot(u2n1, u2n)) / norm0
+        e = np.frexp(norm0)[1]
+        v0, v1 = np.ldexp(u0, -e), np.ldexp(u1, -e)
+        un1, un = _apply(block, v0, v1, certified)
+        block2 = transfer_product(window, energy[certified, None], 1, 2 * n)
+        u2n1, u2n = _apply(block2, v0, v1)
+        tr = tr[certified]
+        squares = np.maximum(un1 * un1 + un * un, u2n1 * u2n1 + u2n * u2n)
+        squares /= v0 * v0 + v1 * v1
+        min_ratio[certified] = np.sqrt(squares.min(axis=-1))
         # two-block identity residual, component-wise
-        residuals = np.maximum(abs(u2n1 - tr * un1 + u1), abs(u2n - tr * un + u0))
-        residuals /= np.maximum(norm0, 1.0)
-        min_ratio[certified] = ratios.min(axis=-1)
+        residuals = np.maximum(abs(u2n1 - tr * un1 + v1), abs(u2n - tr * un + v0))
+        residuals = np.ldexp(residuals, e) / np.maximum(norm0, 1.0)
         max_residual[certified] = residuals.max(axis=-1)
     return GordonCertificate(
         n=n,

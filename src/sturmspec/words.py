@@ -171,15 +171,25 @@ def parse_substitution(text):
 
 
 def substitute(subst, word, power=1):
-    """Apply S ``power`` times to ``word``; S(uv) = S(u)S(v)."""
+    """Apply S ``power`` times to ``word``; S(uv) = S(u)S(v).
+
+    Each application is one gather of the symbols' rows from a (letters x
+    longest image) table of the images, padded at the end; when the image
+    lengths differ, a mask of the same shape drops the padding."""
     if power < 1:
         raise InvalidInputError("power must be >= 1")
     if word.alphabet_size != subst.alphabet_size:
         raise InvalidWordError("word alphabet does not match substitution")
-    images = [img.symbols for img in subst.images]
+    lengths = np.array([len(img) for img in subst.images])
+    width = int(lengths.max())
+    padded = b"".join(img.symbols.ljust(width, b"\0") for img in subst.images)
+    table = np.frombuffer(padded, np.uint8).reshape(-1, width)
+    keep = np.arange(width) < lengths[:, None] if lengths.min() < width else None
     syms = word.symbols
     for _ in range(power):
-        syms = b"".join(images[s] for s in syms)
+        codes = np.frombuffer(syms, np.uint8)
+        rows = table.take(codes, axis=0)
+        syms = (rows if keep is None else rows[keep.take(codes, axis=0)]).tobytes()
     return Word(syms, subst.alphabet_size)
 
 

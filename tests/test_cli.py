@@ -432,6 +432,13 @@ class TestRefusedRuns:
              2, "--alpha-period"),
             (FREE_LYAPUNOV + ["--alpha-cf", "0,-3", "--energies", "0"], 2, "--alpha-cf"),
             (FREE_LYAPUNOV + ["--alpha-period", ":1", "--energies", "zz"], 2, "--alpha-period"),
+            # --cf-depth and --lambda where they are not read, refused before
+            # the energies are read
+            (FREE_LYAPUNOV + ["--lambda", "7", "--energies", "0.5"], 2, "--lambda"),
+            (FREE_LYAPUNOV + ["--lambda", "1.0", "--energies", "zz"], 2, "--lambda"),
+            (FREE_LYAPUNOV + ["--cf-depth", "40", "--energies", "zz"], 2, "--cf-depth"),
+            (["word", "--model", "fibonacci", "--length", "8", "--cf-depth", "5"], 2, "--cf-depth"),
+            (["word", "--subst", "a:ab,b:a", "--length", "8", "--cf-depth", "40"], 2, "--cf-depth"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
@@ -755,6 +762,21 @@ class TestReportPlumbing:
         assert report["config"]["length"] == 5
         assert report["schema_version"] == 1
         assert "version" in report
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["word", "--model", "fibonacci", "--length", "5"], {"cf_depth": 40}),
+            (FREE_LYAPUNOV + ["--energies", "0"], {"cf_depth": 40, "coupling": 1.0}),
+            (["spectrum", "--alpha-period", ":1", "--levels", "2"],
+             {"cf_depth": 40, "coupling": 1.0}),
+        ],
+    )
+    def test_config_echo_carries_the_defaults(self, argv, defaults):
+        # --cf-depth and --lambda parse to None when not given; the echo
+        # still shows the values they stand for
+        config = run_report(argv)["config"]
+        assert {k: config[k] for k in ("cf_depth", "coupling") if k in config} == defaults
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -25,7 +25,7 @@ from sturmspec import (
 )
 from sturmspec.errors import InvalidInputError, ResolutionError
 from sturmspec.spectrum import _edge_eigenvalues, _mirror_axis
-from sturmspec.transfer import _product_over_values
+from sturmspec.transfer import _product_over_values, sturmian_traces
 
 
 def _site_loop_trace(values, energy):
@@ -338,6 +338,20 @@ class TestTraceBounds:
         r9 = trace_bound_scan(golden_cf, 1.0, 8, proxy_level=9)
         assert abs(r9.overall_sup - r8.overall_sup) <= 0.2 * r8.overall_sup
 
+    def test_sups_match_per_level_loop(self, golden_cf):
+        # at lambda = 10 the proxy-2 samples lie off the deep spectra: their
+        # traces overflow to inf at level 17 and to NaN (inf - inf) past it,
+        # and a NaN level counts as unbounded
+        report = trace_bound_scan(golden_cf, 10.0, 20, samples_per_band=2, proxy_level=2)
+        energies = np.asarray(report.sample_energies)
+        traces = sturmian_traces(golden_cf, 10.0, energies, 20)
+        assert any(np.isnan(t).any() for t in traces)
+        reference = tuple(
+            float(np.max(np.where(np.isnan(t), np.inf, abs(t)))) for t in traces[1:]
+        )
+        assert np.array(report.sup_per_level).tobytes() == np.array(reference).tobytes()
+        assert report.overall_sup == math.inf
+
     def test_matches_direct_trace_evaluation(self, golden_cf):
         report = trace_bound_scan(golden_cf, 1.0, 5, samples_per_band=1)
         k = 5
@@ -375,6 +389,25 @@ class TestZeroLyapunov:
         gamma = lyapunov_estimate(window, np.array([0.5]), 10**5).gamma_plus[0]
         assert gamma >= 0.1
         assert gamma == pytest.approx(0.5 * math.acosh(2.25 / 2), abs=1e-3)
+
+    @pytest.mark.parametrize("per_band", [1, 2, 3, 4])
+    def test_samples_match_per_band_formula(self, fib_spectra, per_band):
+        bands = fib_spectra[6].bands
+        reference = [
+            lo + (hi - lo) * i / (per_band + 1) for lo, hi in bands for i in range(1, per_band + 1)
+        ]
+        samples = band_samples(bands, per_band)
+        assert samples.shape == (len(bands) * per_band,)
+        assert samples.tobytes() == np.array(reference).tobytes()
+
+    def test_no_intervals_give_no_samples(self):
+        assert band_samples([], 2).shape == (0,)
+
+    def test_zero_samples_refused(self, golden_cf):
+        with pytest.raises(InvalidInputError, match="per_band"):
+            band_samples([(0.0, 1.0)], per_band=0)
+        with pytest.raises(InvalidInputError, match="samples_per_band"):
+            trace_bound_scan(golden_cf, 1.0, 4, samples_per_band=0)
 
     def test_samples_cover_bands(self, fib_spectra):
         pts = band_samples(fib_spectra[3].bands, per_band=3)

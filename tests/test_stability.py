@@ -215,6 +215,32 @@ class TestNondecay:
             max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
             assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize(
+        "scale",
+        [2.0**600, 2.0**-600, 1e300, 1e-300, 3.7e-310],
+        ids=["2^600", "2^-600", "1e300", "1e-300", "subnormal"],
+    )
+    def test_seed_scale_leaves_the_ratios(
+        self, s4_square_window, proxy_energies, trace_constant, scale
+    ):
+        # each seed is scaled by a power of two before the squared norms are
+        # taken: seeds near the float limits, a subnormal one included, give
+        # the ratios of unit seeds without an overflow or underflow warning
+        rng = random.Random(37)
+        angles = [rng.uniform(0, 2 * math.pi) for _ in range(30)]
+        seeds = [(math.cos(a), math.sin(a)) for a in angles]
+        energies = proxy_energies[:12]
+        unit = gordon_certificate(s4_square_window, 5, trace_constant, energies, seeds)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = gordon_certificate(
+                s4_square_window, 5, trace_constant, energies,
+                [(scale * u0, scale * u1) for u0, u1 in seeds],
+            )
+        assert unit.certified.all()
+        np.testing.assert_allclose(scaled.min_ratio, unit.min_ratio, rtol=1e-12, atol=0)
+        assert scaled.nondecay_ok.tolist() == unit.nondecay_ok.tolist()
+
     def test_one_site_period(self):
         # n = 1 keeps float entries in the one-site product
         window = constant_window(1.0, 1, 2)

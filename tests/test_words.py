@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from sturmspec import (
     SUBSTITUTION_TABLE,
+    Substitution,
     Word,
     detect_palindromes,
     detect_square_prefix,
@@ -186,6 +187,33 @@ def words_and_letters(draw):
 def test_to_text_matches_per_symbol_join(case):
     word, letters = case
     assert word.to_text(letters) == "".join(letters[s] for s in word.symbols)
+
+
+@st.composite
+def substitutions_and_words(draw):
+    """A substitution over 1..5 letters with images of length 1..6 (equal or
+    not), a word over its alphabet and a power."""
+    k = draw(st.integers(1, 5))
+    symbol = st.integers(0, k - 1)
+    if draw(st.booleans()):
+        length = draw(st.integers(1, 6))
+        image = st.lists(symbol, min_size=length, max_size=length)
+    else:
+        image = st.lists(symbol, min_size=1, max_size=6)
+    images = tuple(Word(bytes(draw(image)), k) for _ in range(k))
+    word = Word(bytes(draw(st.lists(symbol, max_size=60))), k)
+    return Substitution(images), word, draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=substitutions_and_words())
+def test_substitute_matches_per_symbol_join(case):
+    subst, word, power = case
+    images = [img.symbols for img in subst.images]
+    syms = word.symbols
+    for _ in range(power):
+        syms = b"".join(images[s] for s in syms)
+    assert substitute(subst, word, power) == Word(syms, subst.alphabet_size)
 
 
 class TestFrequency:
