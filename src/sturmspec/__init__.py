@@ -63,7 +63,6 @@ from .transfer import (
     lyapunov_estimate,
     sturmian_tower,
     sturmian_traces,
-    sturmian_transfer,
     transfer_product,
 )
 from .words import (

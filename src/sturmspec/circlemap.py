@@ -137,9 +137,8 @@ def _orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
 
 
 def _window(params, bits, lo, hi, provenance):
-    return PotentialWindow(
-        lo=lo, hi=hi, values=tuple((bits * float(params.coupling)).tolist()), provenance=provenance
-    )
+    values = bits * float(params.coupling)
+    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)
 
 
 def circle_potential_window(params, theta, lo, hi):

@@ -100,6 +100,7 @@ def _parse_fraction(text, name):
 
 def _resolve_cf(args):
     if args.alpha_cf:
+        _refuse_unread(args, ("cf_depth",), "does not apply to --alpha-cf")
         coeffs = parse_cf_spec(args.alpha_cf)
     elif args.alpha_period:
         pre_text, _, per_text = args.alpha_period.partition(":")
@@ -359,8 +360,8 @@ def _task_appendix(args):
     agreement = {}
     for which, theta in params.boundaries().items():
         hits = [n for n in discontinuity_indices(params, theta, n_top) if n >= 1]
-        plain = np.array(circle_potential_window(params, theta, 1, n_top).values)
-        limit = np.array(boundary_limit_window(params, which, 1, n_top).values)
+        plain = circle_potential_window(params, theta, 1, n_top).values
+        limit = boundary_limit_window(params, which, 1, n_top).values
         mismatches = plain != limit
         mismatches[np.array(hits, dtype=int) - 1] = False
         agreement[which] = {

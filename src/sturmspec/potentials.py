@@ -1,8 +1,12 @@
-"""Finite windows of two-sided potentials V(n), indexed lo..hi."""
+"""Finite windows of two-sided potentials V(n), indexed lo..hi, each one
+read-only float64 array; ``window_from_word`` is the one place where
+V(n) = coupling * symbol is worked out from a word."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidInputError, WindowError
 
@@ -10,15 +14,20 @@ from .errors import InvalidInputError, WindowError
 @dataclass(frozen=True)
 class PotentialWindow:
     """Real potential values on the integer range [lo, hi], with a
-    provenance tag recording how the slice was produced."""
+    provenance tag recording how the slice was produced.  ``values`` is a
+    read-only float64 copy of the array, tuple or list given, so it shares
+    no writeable buffer with the caller."""
 
     lo: int
     hi: int
-    values: tuple[float, ...]
+    values: np.ndarray
     provenance: str = "values"
 
     def __post_init__(self):
-        if len(self.values) != self.hi - self.lo + 1:
+        values = np.array(self.values, dtype=float)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.hi - self.lo + 1,):
             raise InvalidInputError("window length does not match index range")
 
     def __len__(self):
@@ -30,27 +39,28 @@ class PotentialWindow:
     def value(self, n):
         if not self.lo <= n <= self.hi:
             raise WindowError(f"index {n} outside window [{self.lo}, {self.hi}]")
-        return self.values[n - self.lo]
+        return float(self.values[n - self.lo])
 
     def slice_values(self, k, n):
-        """Values V(k), ..., V(n) as a list."""
+        """Values V(k), ..., V(n) as a read-only view."""
         if k > n:
             raise InvalidInputError("empty slice: k > n")
         if not self.covers(k, n):
             raise WindowError(f"[{k}, {n}] outside window [{self.lo}, {self.hi}]")
-        return list(self.values[k - self.lo : n - self.lo + 1])
+        return self.values[k - self.lo : n - self.lo + 1]
 
 
-def window_from_word(word, coupling, lo=1, provenance="word"):
-    """V(n) = coupling * symbol, aligned so the word starts at index ``lo``."""
-    vals = tuple(coupling * s for s in word.symbols)
-    return PotentialWindow(lo=lo, hi=lo + len(vals) - 1, values=vals, provenance=provenance)
+def window_from_word(word, coupling, provenance="word"):
+    """V(n) = coupling * symbol, with the word at indices 1..|word|."""
+    values = np.frombuffer(word.symbols, np.uint8) * float(coupling)
+    return PotentialWindow(lo=1, hi=len(values), values=values, provenance=provenance)
 
 
 def constant_window(value, lo, hi, provenance="constant"):
     if lo > hi:
         raise InvalidInputError("lo > hi")
-    return PotentialWindow(lo=lo, hi=hi, values=(float(value),) * (hi - lo + 1), provenance=provenance)
+    values = np.full(hi - lo + 1, float(value))
+    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)
 
 
 def periodic_window(word, coupling, lo, hi, provenance="periodic word"):
@@ -61,5 +71,5 @@ def periodic_window(word, coupling, lo, hi, provenance="periodic word"):
     q = len(word)
     if q == 0:
         raise InvalidInputError("empty period word")
-    vals = tuple(coupling * word.symbols[(n - 1) % q] for n in range(lo, hi + 1))
-    return PotentialWindow(lo=lo, hi=hi, values=vals, provenance=provenance)
+    values = window_from_word(word, coupling).values[np.arange(lo - 1, hi) % q]
+    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)

@@ -57,6 +57,11 @@ MAX_PERIOD = 5000
 # which is why the traces come from the scalar trace map.
 TRACE_BOUND_HEADROOM = 0.1
 
+# Gap-midpoint controls of ``zero_lyapunov_check``, in the widest gaps only:
+# narrow gaps hug the limiting spectrum, where a finite-step slope is small
+# and proves nothing about positivity.
+GAP_CONTROLS = 4
+
 
 def _mirror_axis(symbols):
     """The m with symbols[(m - j) % q] == symbols[j] for every j, or None.
@@ -186,7 +191,7 @@ def band_spectrum(word, coupling, level=None):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     where = f"level {level}, q={q}" if level is not None else f"q={q}"
     _refuse_long_period(q, where)
-    values = np.frombuffer(word.symbols, np.uint8) * float(coupling)
+    values = window_from_word(word, coupling).values
     edges = _edge_eigenvalues(word.symbols, values)
     lo, hi = edges[0::2], edges[1::2]
     tol = CLOSED_GAP_EPS * np.finfo(float).eps * (2.0 + float(np.max(np.abs(values))))
@@ -351,14 +356,10 @@ class ZeroLyapunovReport:
     free_gamma: float
 
 
-def zero_lyapunov_check(cf, coupling, level, steps, gap_controls=4):
-    """Estimate gamma+ at proxy-spectrum band midpoints and at gap-midpoint
-    controls, over the length-``steps`` prefix potential.
-
-    Controls sit in the ``gap_controls`` widest gaps only: narrow gaps hug
-    the limiting spectrum, where a finite-step slope is legitimately small
-    and proves nothing about positivity.
-    """
+def zero_lyapunov_check(cf, coupling, level, steps):
+    """Estimate gamma+ at proxy-spectrum band midpoints and at the midpoints
+    of the ``GAP_CONTROLS`` widest gaps, over the length-``steps`` prefix
+    potential."""
     spec_a = sturmian_band_spectrum(cf, coupling, level)
     spec_b = sturmian_band_spectrum(cf, coupling, level + 1)
     proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
@@ -371,7 +372,7 @@ def zero_lyapunov_check(cf, coupling, level, steps, gap_controls=4):
         (union[i][1], union[i + 1][0]) for i in range(len(union) - 1)
     ]
     gaps.sort(key=lambda g: g[1] - g[0], reverse=True)
-    gaps = sorted(gaps[:gap_controls])
+    gaps = sorted(gaps[:GAP_CONTROLS])
     gap_energies = [0.5 * (lo + hi) for lo, hi in gaps]
     gap_widths = [hi - lo for lo, hi in gaps]
 

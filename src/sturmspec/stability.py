@@ -94,7 +94,7 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     u0, u1 = np.asarray(seeds, dtype=float).T
     if np.any((u0 == 0) & (u1 == 0)):
         raise InvalidInputError("degenerate zero seed")
-    square_ok = window.slice_values(1, n) == window.slice_values(n + 1, 2 * n)
+    square_ok = np.array_equal(window.slice_values(1, n), window.slice_values(n + 1, 2 * n))
     block = transfer_product(window, energy[:, None], 1, n)
     tr = block.trace()
     abs_trace = abs(tr).reshape(-1)

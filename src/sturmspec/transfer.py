@@ -141,7 +141,8 @@ def transfer_product(window, energy, k, n):
         raise InvalidInputError("k > n")
     if not window.covers(k, n):
         raise WindowError(f"window [{window.lo}, {window.hi}] does not cover [{k}, {n}]")
-    return _product_over_values(window.slice_values(k, n), energy)
+    # Python floats, so that a float energy keeps Python-float arithmetic
+    return _product_over_values(window.slice_values(k, n).tolist(), energy)
 
 
 def sturmian_tower(cf, coupling, energy, level):
@@ -202,12 +203,6 @@ def sturmian_traces(cf, coupling, energy, level):
             traces.append(s_high * w - s_low * t_back)
             w = (t * s_high - s_low) * w - s_high * t_back
     return traces[: level + 2]
-
-
-def sturmian_transfer(cf, coupling, energy, level):
-    """Transfer matrix over the standard word s_level: the last matrix of
-    ``sturmian_tower``."""
-    return sturmian_tower(cf, coupling, energy, level)[-1]
 
 
 @dataclass(frozen=True)

@@ -193,13 +193,13 @@ def substitute(subst, word, power=1):
     return Word(syms, subst.alphabet_size)
 
 
-def fixed_point_prefix(subst, seed, min_length, max_stalled_rounds=64):
+def fixed_point_prefix(subst, seed, min_length):
     """Prefix (length >= min_length) of the one-sided fixed point from ``seed``.
 
     Requires S(seed) to start with seed; iterates S until the prefix is long
-    enough.  If the length stalls for ``max_stalled_rounds`` consecutive
-    rounds the substitution cannot grow and we fail loudly instead of
-    looping forever.
+    enough.  Then each S^k(seed) is a prefix of S^(k+1)(seed), so a round
+    that does not grow the word leaves it unchanged for good, and the first
+    such round raises instead of looping forever.
     """
     if min_length < 1:
         raise InvalidInputError("min_length must be >= 1")
@@ -210,17 +210,10 @@ def fixed_point_prefix(subst, seed, min_length, max_stalled_rounds=64):
             f"image of seed symbol {seed} does not start with the seed"
         )
     word = Word(bytes([seed]), subst.alphabet_size)
-    stalled = 0
     while len(word) < min_length:
         grown = substitute(subst, word)
         if len(grown) == len(word):
-            stalled += 1
-            if stalled >= max_stalled_rounds:
-                raise DivergenceError(
-                    f"substitution images never grow from seed {seed}"
-                )
-        else:
-            stalled = 0
+            raise DivergenceError(f"substitution images never grow from seed {seed}")
         word = grown
     return word
 

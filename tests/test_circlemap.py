@@ -167,7 +167,7 @@ class TestCircleWindow:
             shifted = (theta + alpha) % 1
             a = circle_potential_window(quarter_params, theta, 6, 25)
             b = circle_potential_window(quarter_params, shifted, 5, 24)
-            assert a.values == b.values
+            assert a.values.tolist() == b.values.tolist()
 
     def test_coupling_scales_values(self, golden30):
         params = CircleParams(alpha=golden30, beta=golden30, coupling=2.5)
@@ -257,7 +257,7 @@ class TestFirstDisagreement:
         # verify it really is the first one
         a = circle_potential_window(sturmian_params, Fraction(0), 1, n)
         b = circle_potential_window(sturmian_params, Fraction(1, 1000), 1, n)
-        assert a.values[:-1] == b.values[:-1]
+        assert a.values[:-1].tolist() == b.values[:-1].tolist()
         assert a.values[-1] != b.values[-1]
 
 

@@ -439,6 +439,25 @@ class TestRefusedRuns:
             (FREE_LYAPUNOV + ["--cf-depth", "40", "--energies", "zz"], 2, "--cf-depth"),
             (["word", "--model", "fibonacci", "--length", "8", "--cf-depth", "5"], 2, "--cf-depth"),
             (["word", "--subst", "a:ab,b:a", "--length", "8", "--cf-depth", "40"], 2, "--cf-depth"),
+            # --cf-depth unrolls --alpha-period only; refused with --alpha-cf on
+            # every subcommand
+            (["spectrum", "--alpha-cf", "1,1,1,1,1,1", "--cf-depth", "3", "--levels", "4"],
+             2, "--cf-depth"),
+            (["word", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--length", "8"],
+             2, "--cf-depth does not apply to --alpha-cf"),
+            (["word", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--tower", "1"],
+             2, "--cf-depth does not apply to --alpha-cf"),
+            (["lyapunov", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--energies", "0",
+              "--steps", "1000"], 2, "--cf-depth does not apply to --alpha-cf"),
+            (["lyapunov", "--potential", "circle", "--alpha-cf", "1,2,1x30", "--cf-depth", "40",
+              "--beta", "1/4", "--energies", "0", "--steps", "1000"],
+             2, "--cf-depth does not apply to --alpha-cf"),
+            (["gordon", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--level", "1",
+              "--energies", "0", "--seeds", "1"], 2, "--cf-depth does not apply to --alpha-cf"),
+            (["hull-check", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--beta", "1/4",
+              "--L", "2", "--prefix", "100"], 2, "--cf-depth does not apply to --alpha-cf"),
+            (["appendix", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--beta", "1/4"],
+             2, "--cf-depth does not apply to --alpha-cf"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

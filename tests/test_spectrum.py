@@ -17,7 +17,7 @@ from sturmspec import (
     periodic_window,
     standard_words,
     sturmian_band_spectrum,
-    sturmian_transfer,
+    sturmian_tower,
     trace_bound_scan,
     union_intervals,
     window_from_word,
@@ -356,7 +356,7 @@ class TestTraceBounds:
         report = trace_bound_scan(golden_cf, 1.0, 5, samples_per_band=1)
         k = 5
         direct = max(
-            abs(sturmian_transfer(golden_cf, 1.0, e, k).trace())
+            abs(sturmian_tower(golden_cf, 1.0, e, k)[-1].trace())
             for e in report.sample_energies
         )
         assert report.sup_per_level[k] == pytest.approx(direct, rel=1e-12)

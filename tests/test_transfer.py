@@ -17,7 +17,6 @@ from sturmspec import (
     standard_words,
     sturmian_tower,
     sturmian_traces,
-    sturmian_transfer,
     trace_bound_scan,
     transfer_product,
     window_from_word,
@@ -172,15 +171,15 @@ class TestSturmianTransfer:
             assert sup == pytest.approx(tower_sup, rel=1e-10)
 
     def test_level_two_matches_word_ten(self, golden_cf):
-        state = sturmian_transfer(golden_cf, 1.0, 0.0, 2)
+        state = sturmian_tower(golden_cf, 1.0, 0.0, 2)[-1]
         assert state.trace() == pytest.approx(-2.0, abs=1e-12)
 
     def test_level_zero_trace_is_energy(self, golden_cf):
         for energy in (-1.5, 0.0, 2.25):
-            assert sturmian_transfer(golden_cf, 1.0, energy, 0).trace() == energy
+            assert sturmian_tower(golden_cf, 1.0, energy, 0)[-1].trace() == energy
 
     def test_level_minus_one(self, golden_cf):
-        assert sturmian_transfer(golden_cf, 1.0, 2.0, -1).trace() == 1.0
+        assert sturmian_tower(golden_cf, 1.0, 2.0, -1)[-1].trace() == 1.0
 
     def test_recursion_equals_explicit_product(self, golden_cf):
         from sturmspec import standard_words
@@ -193,7 +192,7 @@ class TestSturmianTransfer:
             for _ in range(3):
                 energy = rng.uniform(-3, 3)
                 direct = transfer_product(window, energy, 1, len(word))
-                recursive = sturmian_transfer(golden_cf, 1.0, energy, level)
+                recursive = sturmian_tower(golden_cf, 1.0, energy, level)[-1]
                 assert matrices_close(direct, recursive, 1e-8)
 
     def test_recursion_general_cf(self):
@@ -207,7 +206,7 @@ class TestSturmianTransfer:
             window = window_from_word(word, 1.5)
             energy = rng.uniform(-3, 3)
             direct = transfer_product(window, energy, 1, len(word))
-            recursive = sturmian_transfer(cf, 1.5, energy, level)
+            recursive = sturmian_tower(cf, 1.5, energy, level)[-1]
             assert matrices_close(direct, recursive, 1e-8)
 
     def test_power_identity(self):

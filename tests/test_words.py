@@ -95,6 +95,23 @@ class TestFixedPoint:
         with pytest.raises(DivergenceError):
             fixed_point_prefix(lazy, 0, 10)
 
+    def test_non_growing_refused_after_one_round(self, monkeypatch):
+        # S^k(seed) is a prefix of S^(k+1)(seed), so one round without
+        # growth is final
+        import sturmspec.words as words
+
+        rounds = []
+
+        def counted(subst, word):
+            rounds.append(len(word))
+            return substitute(subst, word)
+
+        monkeypatch.setattr(words, "substitute", counted)
+        subst, _ = parse_substitution("a:a,b:ab")
+        with pytest.raises(DivergenceError):
+            fixed_point_prefix(subst, 0, 10)
+        assert rounds == [1]
+
 
 class TestPrimitivity:
     def test_table_entries_primitive(self):
