@@ -13,7 +13,6 @@ from .circlemap import (
     boundary_limit_window,
     circle_potential_window,
     discontinuity_indices,
-    first_disagreement,
     hull_factor_comparison,
 )
 from .errors import (

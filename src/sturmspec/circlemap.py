@@ -30,6 +30,9 @@ AT_ONE_MINUS_BETA = "at_1minusbeta"
 # accumulated drift n * |alpha - p/q| < n/q^2 stays well below 1/q.
 PRECISION_MARGIN = 100
 
+# a coding's bits spelled as the letters 0 and 1
+BIT_LETTERS = bytes.maketrans(b"\x00\x01", b"01")
+
 
 @dataclass(frozen=True)
 class CircleParams:
@@ -166,44 +169,25 @@ def discontinuity_indices(params, theta, range_n):
     exactly (under the rational approximant p/q).
 
     n p/q + theta = c (mod 1) is the congruence n p = q (c - theta) (mod q).
-    It is solvable only when q (c - theta) is an integer, and then its
-    solutions are n0 + k q with n0 = q (c - theta) p^-1 mod q.
+    With theta = t/d and c = c_n/c_d, q (c - theta) = q (c_n d - t c_d) /
+    (c_d d), so it is solvable exactly when c_d d divides q (c_n d - t c_d),
+    and then its solutions are n0 + k q with n0 = q (c - theta) p^-1 mod q.
     """
     theta = Fraction(theta)
     if range_n < 0:
         raise InvalidInputError("range_n must be >= 0")
     _require_precision(params, range_n)
     p, q = params.alpha.numerator, params.alpha.denominator
+    t, d = theta.numerator, theta.denominator
+    b_n, b_d = params.beta.numerator, params.beta.denominator
     hits = []
-    for c in params.boundaries().values():
-        shift = q * (c - theta)
-        if shift.denominator == 1:
-            n0 = shift.numerator * pow(p, -1, q) % q
+    for c_n, c_d in ((0, 1), (b_d - b_n, b_d)):  # c = 0 and c = 1 - beta
+        shift, rest = divmod(q * (c_n * d - t * c_d), c_d * d)
+        if not rest:
+            n0 = shift * pow(p, -1, q) % q
             # the least n = n0 (mod q) with n >= -range_n
             hits.extend(range(n0 - (n0 + range_n) // q * q, range_n + 1, q))
     return sorted(hits)
-
-
-def first_disagreement(params, theta1, theta2, horizon):
-    """Smallest n >= 1 with v_theta1(n) != v_theta2(n), or None within
-    ``horizon``.  Distinct angles must eventually disagree; equal angles
-    trivially never do."""
-    theta1, theta2 = Fraction(theta1), Fraction(theta2)
-    if horizon < 1:
-        raise InvalidInputError("horizon must be >= 1")
-    if theta1 == theta2:
-        return None
-    chunk = 4096
-    n = 1
-    while n <= horizon:
-        top = min(n + chunk - 1, horizon)
-        b1 = _orbit_bits(params, theta1, n, top)
-        b2 = _orbit_bits(params, theta2, n, top)
-        differ = np.flatnonzero(b1 != b2)
-        if differ.size:
-            return n + int(differ[0])
-        n = top + 1
-    return None
 
 
 @dataclass(frozen=True)
@@ -277,7 +261,7 @@ def hull_factor_comparison(params, factor_length, theta_grid_size, prefix_length
         f2.update(row.tobytes() for row in sliding_window_view(bits, L)[clear])
 
     def fmt(items):
-        return tuple(sorted(Word(s, 2).to_text() for s in items))
+        return tuple(sorted(s.translate(BIT_LETTERS).decode("ascii") for s in items))
 
     missing = f1 - f2
     return HullComparisonReport(

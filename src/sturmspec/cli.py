@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -261,6 +260,23 @@ def _task_lyapunov(args):
     return {"rows": rows, "steps": steps, "potential": args.potential}
 
 
+def _draw_seeds(rng, count):
+    """``count`` unit seeds as a (count, 2) array, read from ``rng`` as
+    pairs (x, y) uniform on [-1, 1]^2, each divided by its norm; a pair of
+    norm at most 1e-3 is passed over, in stream order.  x is -1 + 2 r, the
+    float ``rng.uniform(-1, 1)`` gives, and the norm is Python's ``** 0.5``,
+    whose rounding ``np.sqrt`` does not always share."""
+    seeds = np.empty((0, 2))
+    while len(seeds) < count:
+        draws = np.array([rng.random() for _ in range(2 * (count - len(seeds)))])
+        pairs = (2.0 * draws - 1.0).reshape(-1, 2)
+        x, y = pairs.T
+        norm = np.array([s**0.5 for s in (x * x + y * y).tolist()])
+        keep = norm > 1e-3
+        seeds = np.concatenate([seeds, pairs[keep] / norm[keep, None]])
+    return seeds
+
+
 def _task_gordon(args):
     if args.seeds < 1:
         raise InvalidInputError(f"--seeds must be >= 1, got {args.seeds}")
@@ -292,29 +308,20 @@ def _task_gordon(args):
         "headroom": TRACE_BOUND_HEADROOM,
     }
 
-    rng = random.Random(args.rng_seed)
-    seeds = []
-    for _ in range(args.seeds):
-        while True:
-            x, y = rng.uniform(-1, 1), rng.uniform(-1, 1)
-            norm = (x * x + y * y) ** 0.5
-            if norm > 1e-3:
-                seeds.append((x / norm, y / norm))
-                break
-
-    cert = gordon_certificate(window, q_n, c_bound, energies, seeds)
-    certificates = []
-    for energy, abs_trace, certified, ratio, nondecay_ok in zip(
-        cert.energy.tolist(), cert.abs_trace.tolist(), cert.certified.tolist(),
-        cert.min_ratio.tolist(), cert.nondecay_ok.tolist(),
-    ):
-        entry = {"energy": energy, "square_ok": cert.square_ok, "abs_trace": abs_trace,
-                 "verdict": certified}
-        if certified:
-            entry.update(
-                {"min_ratio": ratio, "lower_bound": cert.lower_bound, "nondecay_ok": nondecay_ok}
-            )
-        certificates.append(entry)
+    cert = gordon_certificate(
+        window, q_n, c_bound, energies, _draw_seeds(random.Random(args.rng_seed), args.seeds)
+    )
+    square_ok, lower_bound = cert.square_ok, cert.lower_bound
+    certificates = [
+        {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": True,
+         "min_ratio": ratio, "lower_bound": lower_bound, "nondecay_ok": nondecay_ok}
+        if certified else
+        {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": False}
+        for energy, abs_trace, certified, ratio, nondecay_ok in zip(
+            cert.energy.tolist(), cert.abs_trace.tolist(), cert.certified.tolist(),
+            cert.min_ratio.tolist(), cert.nondecay_ok.tolist(),
+        )
+    ]
     return {
         "level": level,
         "q_n": q_n,
@@ -331,7 +338,7 @@ def _grid_size(args):
 def _task_hull_check(args):
     params = _circle_params(args)
     report = hull_factor_comparison(params, args.factor_length, _grid_size(args), args.prefix)
-    return dataclasses.asdict(report)
+    return dict(vars(report))
 
 
 def _task_appendix(args):
@@ -381,7 +388,7 @@ def _task_appendix(args):
         "endpoint_values": endpoint,
         "discontinuity_counts": disc,
         "boundary_agreement": agreement,
-        "hull_comparison": dataclasses.asdict(hull),
+        "hull_comparison": dict(vars(hull)),
         "ok": ok,
     }
 
@@ -455,8 +462,9 @@ def build_parser():
         "Lyapunov exponents, stability certificates.",
     )
     rotation = argparse.ArgumentParser(add_help=False)
-    rotation.add_argument("--alpha-cf", help="CF coefficients, e.g. 1,2,1x40 (x = repeat)")
-    rotation.add_argument(
+    alpha = rotation.add_mutually_exclusive_group()
+    alpha.add_argument("--alpha-cf", help="CF coefficients, e.g. 1,2,1x40 (x = repeat)")
+    alpha.add_argument(
         "--alpha-period",
         help="eventually periodic CF as pre:period, e.g. ':1' for the golden mean",
     )

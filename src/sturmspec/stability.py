@@ -80,7 +80,10 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     scaled component falls below the normal range, so the identity residual,
     scaled back by 2**e, has the bits it would have without the scaling.
     The squares overflow only where ||U(n)|| or ||U(2n)|| passes about
-    1e154 times the seed's norm."""
+    1e154 times the seed's norm; such a seed's square reads inf, which the
+    minimum over the seeds passes over, and an energy where every seed's
+    square overflowed takes its ratio from ``hypot`` norms instead.
+    ``seeds`` is a (k, 2) array-like of pairs (u(0), u(1))."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
     if not window.covers(1, 2 * n):
@@ -89,9 +92,10 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     energy = np.asarray(energies, dtype=float)
     if energy.ndim != 1 or energy.size == 0:
         raise InvalidInputError("need a non-empty list of sample energies")
-    if not seeds:
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.size == 0:
         raise InvalidInputError("need at least one seed")
-    u0, u1 = np.asarray(seeds, dtype=float).T
+    u0, u1 = seeds.T
     if np.any((u0 == 0) & (u1 == 0)):
         raise InvalidInputError("degenerate zero seed")
     square_ok = np.array_equal(window.slice_values(1, n), window.slice_values(n + 1, 2 * n))
@@ -110,9 +114,16 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
         block2 = transfer_product(window, energy[certified, None], 1, 2 * n)
         u2n1, u2n = _apply(block2, v0, v1)
         tr = tr[certified]
-        squares = np.maximum(un1 * un1 + un * un, u2n1 * u2n1 + u2n * u2n)
-        squares /= v0 * v0 + v1 * v1
-        min_ratio[certified] = np.sqrt(squares.min(axis=-1))
+        with np.errstate(over="ignore"):
+            squares = np.maximum(un1 * un1 + un * un, u2n1 * u2n1 + u2n * u2n)
+            squares /= v0 * v0 + v1 * v1
+        ratio = np.sqrt(squares.min(axis=-1))
+        # an energy whose every seed's square overflowed: its norms by hypot
+        over = np.isinf(ratio)
+        if over.any():
+            norms = np.maximum(np.hypot(un1[over], un[over]), np.hypot(u2n1[over], u2n[over]))
+            ratio[over] = (norms / np.hypot(v0, v1)).min(axis=-1)
+        min_ratio[certified] = ratio
         # two-block identity residual, component-wise
         residuals = np.maximum(abs(u2n1 - tr * un1 + v1), abs(u2n - tr * un + v0))
         residuals = np.ldexp(residuals, e) / np.maximum(norm0, 1.0)

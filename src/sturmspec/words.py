@@ -220,8 +220,9 @@ def fixed_point_prefix(subst, seed, min_length):
 
 def _runs(code):
     """A permutation sorting ``code``, and in that order the mask of the
-    first entry of each run of equal codes."""
-    order = np.argsort(code)
+    first entry of each run of equal codes.  numpy radix-sorts 16-bit keys
+    under ``kind="stable"``, several times faster than its default there."""
+    order = np.argsort(code, kind="stable" if code.dtype == np.uint16 else None)
     ordered = code[order]
     first = np.ones(len(code), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
@@ -232,7 +233,8 @@ def factor_set(word, length):
     """All distinct length-``length`` contiguous subwords.
 
     Each window gets an integer code, built one symbol at a time as code * k
-    + symbol over the alphabet size k.  Before a step could pass 2**62 the
+    + symbol over the alphabet size k, in uint16 while every code fits
+    there and in int64 after that.  Before a step could pass 2**62 the
     codes are replaced by their ranks among the distinct codes so far, which
     keeps distinct windows distinct, so the codes are exact for any length
     and alphabet.  One window per distinct code is sliced out.
@@ -244,9 +246,11 @@ def factor_set(word, length):
     k = word.alphabet_size
     syms = np.frombuffer(word.symbols, dtype=np.uint8)
     count = len(syms) - length + 1
-    code = np.zeros(count, dtype=np.int64)
+    code = np.zeros(count, dtype=np.uint16)
     bound = 1  # every code is below bound
     for j in range(length):
+        if bound * k > 2**16:
+            code = code.astype(np.int64, copy=False)
         if bound * k > 2**62:
             order, first = _runs(code)
             code[order] = np.cumsum(first) - 1

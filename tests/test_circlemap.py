@@ -18,7 +18,6 @@ from sturmspec import (
     circle_potential_window,
     convergents,
     discontinuity_indices,
-    first_disagreement,
     hull_factor_comparison,
     periodic_coefficients,
 )
@@ -115,6 +114,28 @@ def reference_discontinuity_indices(params, theta, range_n):
             hits.append(n)
         x = (x + step) % denom
     return hits
+
+
+def first_disagreement(params, theta1, theta2, horizon):
+    """Smallest n >= 1 with v_theta1(n) != v_theta2(n), or None within
+    ``horizon``, from the two codings in chunks of 4096 sites.  Distinct
+    angles must eventually disagree; equal angles trivially never do."""
+    theta1, theta2 = Fraction(theta1), Fraction(theta2)
+    if horizon < 1:
+        raise InvalidInputError("horizon must be >= 1")
+    if theta1 == theta2:
+        return None
+    chunk = 4096
+    n = 1
+    while n <= horizon:
+        top = min(n + chunk - 1, horizon)
+        b1 = _orbit_bits(params, theta1, n, top)
+        b2 = _orbit_bits(params, theta2, n, top)
+        differ = np.flatnonzero(b1 != b2)
+        if differ.size:
+            return n + int(differ[0])
+        n = top + 1
+    return None
 
 
 def outcome(fn, *args, **kwargs):

@@ -210,6 +210,49 @@ def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
     return certificates
 
 
+class StubRandom(random.Random):
+    """``random.Random(seed)`` whose stream starts with the values ``head``."""
+
+    def __init__(self, seed, head):
+        self.head = list(head)
+        super().__init__(seed)
+
+    def random(self):
+        return self.head.pop(0) if self.head else super().random()
+
+
+# rng.uniform(-1, 1) is -1 + 2 r: r = 0.5 gives 0, so (0.5, 0.5) is the
+# zero pair and (0.5002, 0.4999) one of norm about 4.5e-4
+SHORT_PAIRS = (0.5, 0.5, 0.5002, 0.4999)
+
+
+class TestSeedDraw:
+    @pytest.mark.parametrize(
+        "head, kept",
+        [(SHORT_PAIRS, 0), ((0.9, 0.2) + SHORT_PAIRS[:2] + (0.1, 0.7) + SHORT_PAIRS[2:], 2)],
+        ids=["short-pairs-first", "short-pairs-between"],
+    )
+    def test_short_pairs_passed_over_in_stream_order(self, head, kept):
+        seeds = cli._draw_seeds(StubRandom(7, head), 6)
+        assert seeds.shape == (6, 2)
+        # the pairs of the head that are kept, then the seeded stream
+        for seed, (r1, r2) in zip(seeds[:kept].tolist(), [(0.9, 0.2), (0.1, 0.7)]):
+            x, y = -1 + 2 * r1, -1 + 2 * r2
+            norm = (x * x + y * y) ** 0.5
+            assert seed == [x / norm, y / norm]
+        assert seeds[kept:].tolist() == cli._draw_seeds(random.Random(7), 6 - kept).tolist()
+
+    def test_rejection_matches_per_seed_loop(self, monkeypatch):
+        # the task and reference_gordon_certificates both draw from a stream
+        # whose first two pairs are too short
+        monkeypatch.setattr(random, "Random", lambda seed: StubRandom(seed, SHORT_PAIRS))
+        report = run_report(["gordon", "--alpha-period", ":1", "--level", "4",
+                             "--energies", "from-spectrum:8", "--seeds", "10", "--rng-seed", "3"])
+        assert any(row["verdict"] for row in report["certificates"])
+        expected = reference_gordon_certificates(report, 1.0, 10, 3)
+        assert json.dumps(report["certificates"]) == json.dumps(expected)
+
+
 class TestGordonTask:
     @pytest.mark.parametrize(
         "coupling, level, energies, seed_count, rng_seed",
@@ -719,6 +762,24 @@ def test_unread_option_refused_at_parse_time(argv, needle, monkeypatch, capsys):
     code, out, err = parse_refusal(argv, capsys)
     assert code == 2 and out == ""
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [BASE_ARGV[task] + ["--alpha-cf", "1,2,1x10"] for task in sorted(BASE_ARGV)]
+    + [["lyapunov", "--alpha-period", ":1", "--energies", "0", "--alpha-cf", "1,2,1x10"],
+       ["word", "--alpha-cf", "1,2,1x10", "--alpha-period", ":1", "--length", "8"]],
+    ids=sorted(BASE_ARGV) + ["lyapunov", "word-cf-first"],
+)
+def test_alpha_cf_and_alpha_period_are_exclusive(argv, monkeypatch, capsys):
+    # each spells a rotation number, so one of them would go unread
+    def task_ran(args):
+        raise AssertionError(f"task {args.task} ran")
+
+    monkeypatch.setattr(cli, "run_experiment", task_ran)
+    code, out, err = parse_refusal(argv, capsys)
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 def _without_wall_time(text):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sturmspec import (
+    PotentialWindow,
     Word,
     c_alpha_prefix,
     constant_window,
@@ -131,8 +132,9 @@ class TestGordonMembership:
             (0, [0.0], [(0.0, 1.0)], "period"),
             (2, [], [(0.0, 1.0)], "energies"),
             (2, [0.0], [], "seed"),
+            (2, [0.0], np.empty((0, 2)), "seed"),
         ],
-        ids=["period", "no-energies", "no-seeds"],
+        ids=["period", "no-energies", "no-seeds", "no-seeds-array"],
     )
     def test_bad_input_refused(self, n, energies, seeds, needle):
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
@@ -267,6 +269,41 @@ class TestNondecay:
         assert q == 89 and cert.certified.tolist() == [False, True]
         assert_not_certified(cert, 0)
         assert cert.nondecay_ok[1]
+
+    # E - V = 1e200 and 2e-200 at E = 0: the block has trace 0, and some
+    # seeds' U(n) and U(2n) pass the 1e154 where their squares overflow
+    HUGE_BLOCK = [-1e200, -2e-200, -1e200, -2e-200]
+
+    def test_overflowing_seed_leaves_the_minimum(self):
+        # (0.6, 0.8)'s squares overflow; (1, 0) keeps ratio 1 and the minimum
+        window = PotentialWindow(lo=1, hi=4, values=self.HUGE_BLOCK)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = gordon_certificate(window, 2, 1.0, [0.0], [(0.6, 0.8), (1.0, 0.0)])
+        assert cert.certified.tolist() == [True]
+        assert cert.min_ratio.tolist() == [1.0]
+        assert cert.nondecay_ok.tolist() == [True]
+
+    def test_every_seed_overflowing_takes_hypot_norms(self):
+        window = PotentialWindow(lo=1, hi=4, values=self.HUGE_BLOCK)
+        seeds = [(0.6, 0.8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = gordon_certificate(window, 2, 1.0, [0.0], seeds)
+
+        def norm(k):
+            # ||U(k)|| for the seed (u(0), u(1)) = (0.6, 0.8)
+            state = transfer_product(window, 0.0, 1, k)
+            a, b, c, d = (x * np.exp(state.log_scale) for x in state.m)
+            return np.hypot(a * 0.8 + b * 0.6, c * 0.8 + d * 0.6)
+
+        expected = max(norm(2), norm(4)) / np.hypot(0.6, 0.8)
+        assert 1e199 < expected < 1e201
+        assert cert.min_ratio.tolist() == [expected]
+        assert cert.min_ratio[0] == pytest.approx(
+            reference_nondecay(window, 2, 0.0, seeds)[0], rel=1e-12, abs=0
+        )
+        assert cert.nondecay_ok.tolist() == [True]
 
     def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
         s12 = standard_words(golden_cf, 12).word(12)

@@ -175,6 +175,9 @@ def sparse_word(k, n, ones):
 # codes that pass 2**62 are re-ranked: 200**9 and 2**63 do, 200**8 does not
 @example(case=(sparse_word(200, 400, [0, 37, 150, 151, 390]), 9))
 @example(case=(sparse_word(200, 400, [0, 37, 150, 151, 390]), 30))
+# codes are uint16 up to 2**16 and int64 past it: 2**16 and 2**17
+@example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 16))
+@example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 17))
 @example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 63))
 @example(case=(sparse_word(2, 300, [0, 1, 70, 200]), 100))
 @example(case=(sparse_word(255, 2000, range(0, 2000, 97)), 2000))
