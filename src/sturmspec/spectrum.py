@@ -15,11 +15,12 @@ V(m - j) = V(j) (mod q); every standard word does, being a product of two
 palindromes (Hof-Knill-Simon, CMP 174, 1995).  Folding the q-cycle along the
 mirror gives a path of about q/2 nodes, so each of the two Hamiltonians
 splits into two Jacobi (symmetric tridiagonal) chains on that path which
-differ only in the signs at their two ends, and the dense eigensolver does
-about a quarter of the O(q^3) work of the full matrices.  For q <= 2 or a
-word without a mirror there is no fold, and each corner is its full q x q
-matrix.  The cost still limits this route to periods of a few thousand;
-longer periods are refused (MAX_PERIOD).
+differ only in the signs at their two ends.  Each chain is two vectors, and
+LAPACK's tridiagonal QL solver ``dsterf`` takes its eigenvalues in O(q^2)
+time and O(q) memory; where numpy does not export that routine, ``eigvalsh``
+on the dense chain gives the same bits in O(q^3) time and O(q^2) memory.
+For q <= 2 or a word without a mirror there is no fold, and each corner is
+its full q x q matrix.  Periods above MAX_PERIOD are refused.
 
 The almost sure spectrum itself has no finite description; throughout, the
 intersection of two consecutive approximant spectra serves as its proxy and
@@ -28,27 +29,28 @@ the level is always reported alongside results.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, ResolutionError
+from .errors import InvalidInputError, NumericError, ResolutionError
 from .potentials import constant_window, window_from_word
 from .sturmian import _standard_bytes, c_alpha_prefix
 from .transfer import lyapunov_estimate, sturmian_traces
 from .words import Word
 
-# Gaps at most this many eps * ||H|| wide count as closed: eigvalsh places
-# every eigenvalue within a small multiple of eps * ||H|| of the exact one,
-# and ||H|| <= 2 + max|V|.
+# Gaps at most this many eps * ||H|| wide count as closed: the QL solver
+# places every eigenvalue within a small multiple of eps * ||H|| of the exact
+# one, and ||H|| <= 2 + max|V|.
 CLOSED_GAP_EPS = 64
 
-# Longest period the eigensolver is given: at the limit the folded chain
-# takes 50 MB (a full q x q matrix would take 200 MB).  On a 2-vCPU Xeon with
-# OpenBLAS, golden level 18 (q = 4181) takes about 1.4 s with a 100 MB peak,
-# and a mirrored q = 5000 word about 3.4 s with a 130 MB peak.
+# Longest period whose band edges are computed.  On a 2-vCPU Xeon, golden
+# level 18 (q = 4181) takes about 0.25 s through the CLI with a 32 MB peak on
+# the dsterf path, and about 2.3-2.9 s with a 97 MB peak on the dense
+# fallback; a full q x q matrix at the limit would take 200 MB.
 MAX_PERIOD = 5000
 
 # Relative margin of the certificate trace bound over the sampled sup.  The
@@ -89,6 +91,53 @@ def _full_eigenvalues(values, corner):
     return np.linalg.eigvalsh(h)
 
 
+@functools.cache
+def _load_dsterf():
+    """LAPACKE ``dsterf`` from the OpenBLAS that numpy's wheels bundle, as an
+    ILP64 ctypes function (n, d, e) -> info, or None where that exact symbol
+    is not exported.  Looked up on first use, so importing costs nothing."""
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        dsterf = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsterf64_
+    except (AttributeError, OSError):
+        return None
+    dsterf.restype = ctypes.c_int64
+    dsterf.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p)
+    return dsterf
+
+
+def _chain_eigenvalues(diagonal, hops):
+    """Ascending eigenvalues of the Jacobi chain with ``diagonal`` (n values)
+    and ``hops`` (n - 1 values) off it.
+
+    LAPACK ``dsterf`` (Pal-Walker-Kahan QL) takes O(n^2) time and O(n)
+    memory on the two vectors.  ``eigvalsh`` on the dense chain, the fallback
+    where numpy does not export ``dsterf``, gives the same bits: its
+    Householder reduction leaves a tridiagonal matrix as it is, and then it
+    calls ``dsterf`` too (below |V| of about 1e146, past which it rescales
+    the matrix first).
+    """
+    n = len(diagonal)
+    if len(hops) != n - 1:
+        raise InvalidInputError(f"a {n}-node chain needs {n - 1} hops, got {len(hops)}")
+    dsterf = _load_dsterf()
+    if dsterf is None:
+        chain = np.diag(diagonal)
+        chain.flat[1 :: n + 1] = hops
+        chain.flat[n :: n + 1] = hops
+        return np.linalg.eigvalsh(chain)
+    # dsterf overwrites d with the eigenvalues and e with scratch
+    d = np.array(diagonal, dtype=np.float64)
+    e = np.array(hops, dtype=np.float64)
+    info = dsterf(n, d.ctypes.data, e.ctypes.data)
+    if info:
+        raise NumericError(f"LAPACK dsterf returned info = {info} on a {n}-node chain")
+    return d
+
+
 def _edge_eigenvalues(symbols, values):
     """The 2q eigenvalues, sorted, of the periodic and antiperiodic
     Hamiltonians of one period (module docstring): tr M(E) = +2 at the
@@ -124,23 +173,20 @@ def _edge_eigenvalues(symbols, values):
         hops[0] = math.sqrt(2.0)
     if site_ends[1]:
         hops[-1] = math.sqrt(2.0)
-    chain = np.zeros((n, n))
-    chain.flat[:: n + 1] = diagonal
-    chain.flat[1 :: n + 1] = hops
-    chain.flat[n :: n + 1] = hops
     eigenvalues = []
     # periodic (+, +) and (-, -), then antiperiodic (+, -) and (-, +)
     for head, tail in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)):
+        ends = diagonal.copy()
         lo, hi = 0, n
         if site_ends[0]:
             lo = int(head < 0)
         else:
-            chain[0, 0] = diagonal[0] + head
+            ends[0] += head
         if site_ends[1]:
             hi = n - int(tail < 0)
         else:
-            chain[-1, -1] = diagonal[-1] + tail
-        eigenvalues.append(np.linalg.eigvalsh(chain[lo:hi, lo:hi]))
+            ends[-1] += tail
+        eigenvalues.append(_chain_eigenvalues(ends[lo:hi], hops[lo : hi - 1]))
     return np.sort(np.concatenate(eigenvalues))
 
 
@@ -172,8 +218,7 @@ class BandSpectrum:
 def _refuse_long_period(q, where):
     if q > MAX_PERIOD:
         raise ResolutionError(
-            f"{where}: period exceeds the dense eigensolver's limit of {MAX_PERIOD} "
-            f"(O(q^2) memory, O(q^3) time)"
+            f"{where}: period exceeds the band-edge solver's limit of {MAX_PERIOD}"
         )
 
 
@@ -192,7 +237,10 @@ def band_spectrum(word, coupling, level=None):
     where = f"level {level}, q={q}" if level is not None else f"q={q}"
     _refuse_long_period(q, where)
     values = window_from_word(word, coupling).values
-    edges = _edge_eigenvalues(word.symbols, values)
+    try:
+        edges = _edge_eigenvalues(word.symbols, values)
+    except NumericError as err:
+        raise NumericError(f"{where}: {err}") from None
     lo, hi = edges[0::2], edges[1::2]
     tol = CLOSED_GAP_EPS * np.finfo(float).eps * (2.0 + float(np.max(np.abs(values))))
     gaps = lo[1:] - hi[:-1]

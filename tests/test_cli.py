@@ -17,7 +17,7 @@ from sturmspec import (
     standard_words,
     window_from_word,
 )
-from sturmspec import cli
+from sturmspec import cli, spectrum
 from sturmspec.cli import CSV_HEADERS, build_parser, emit_report, main, run_experiment
 from sturmspec.errors import InvalidInputError
 from sturmspec.words import SUBSTITUTION_TABLE
@@ -110,6 +110,18 @@ class TestSpectrumTask:
         )
         assert code == 3
         assert "bands" in err
+
+    @pytest.mark.parametrize("info", [1, -2])
+    def test_lapack_failure_exits_three(self, monkeypatch, capsys, info):
+        monkeypatch.setattr(spectrum, "_load_dsterf", lambda: lambda n, d, e: info)
+        code, out, err = run_cli(["spectrum", "--alpha-period", ":1", "--levels", "5"], capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert re.fullmatch(
+            rf"error: level 5, q=8: LAPACK dsterf returned info = {info} on a \d+-node chain\n",
+            err,
+        )
 
     def test_non_finite_coupling_exits_two(self, capsys):
         for coupling in ("nan", "inf"):

@@ -23,7 +23,8 @@ from sturmspec import (
     window_from_word,
     zero_lyapunov_check,
 )
-from sturmspec.errors import InvalidInputError, ResolutionError
+from sturmspec import spectrum
+from sturmspec.errors import InvalidInputError, NumericError, ResolutionError
 from sturmspec.spectrum import _edge_eigenvalues, _mirror_axis
 from sturmspec.transfer import _product_over_values, sturmian_traces
 
@@ -173,17 +174,19 @@ def _dense_edge_eigenvalues(values):
 
 
 @st.composite
-def period_words(draw):
-    """(symbols, values, mirrored): a word over 2-3 letters, with one random
-    potential value per letter.  Half are products of two palindromes,
-    rotated, which always have a mirror."""
+def period_words(draw, max_q=60, mirrored=None):
+    """(symbols, values, mirrored): a word of length at most ``max_q`` over
+    2-3 letters, with one random potential value per letter.  Half of them,
+    or all with ``mirrored=True``, are products of two palindromes, rotated,
+    which always have a mirror."""
     letters = draw(st.integers(2, 3))
-    q = draw(st.integers(1, 60))
+    q = draw(st.integers(1, max_q))
 
     def spell(n):
         return draw(st.lists(st.integers(0, letters - 1), min_size=n, max_size=n))
 
-    mirrored = draw(st.booleans())
+    if mirrored is None:
+        mirrored = draw(st.booleans())
     if mirrored:
         cut = draw(st.integers(0, q))
         halves = spell((cut + 1) // 2), spell((q - cut + 1) // 2)
@@ -219,6 +222,86 @@ def test_mirror_split_matches_dense_reference(word):
     split = _edge_eigenvalues(symbols, values)
     assert split.shape == (2 * len(values),)
     assert np.max(np.abs(split - _dense_edge_eigenvalues(values))) <= tol
+
+
+needs_dsterf = pytest.mark.skipif(
+    spectrum._load_dsterf() is None,
+    reason="this numpy exports no scipy_LAPACKE_dsterf64_; only the eigvalsh fallback runs",
+)
+
+
+def _on_fallback(fn, *args):
+    """``fn(*args)`` with the dense-chain ``eigvalsh`` fallback forced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_load_dsterf", lambda: None)
+        return fn(*args)
+
+
+def _standard_word(coefficient, level, coupling):
+    """(symbols, values) of the level-``level`` standard word of [c, c, ...]."""
+    cf = convergents([coefficient] * 20)
+    symbols = standard_words(cf, level).word(level).symbols
+    return symbols, np.frombuffer(symbols, np.uint8) * coupling
+
+
+@st.composite
+def deep_standard_words(draw):
+    """Golden (:1) and silver (:2) standard words with q <= 4200."""
+    coefficient = draw(st.sampled_from([1, 2]))
+    cf = convergents([coefficient] * 20)
+    level = draw(st.integers(0, max(n for n in range(cf.depth + 1) if cf.q[n] <= 4200)))
+    return _standard_word(coefficient, level, draw(st.sampled_from([0.3, 1.0, 5.0, 10.0])))
+
+
+@needs_dsterf
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    word=st.one_of(
+        period_words(max_q=400, mirrored=True).map(lambda w: w[:2]),
+        deep_standard_words(),
+    )
+)
+# the deepest chains: golden q = 4181 and silver q = 2378
+@example(word=_standard_word(1, 18, 1.0))
+@example(word=_standard_word(2, 9, 10.0))
+def test_dsterf_matches_the_eigvalsh_fallback_bit_for_bit(word):
+    symbols, values = word
+    fast = _edge_eigenvalues(symbols, values)
+    assert fast.tobytes() == _on_fallback(_edge_eigenvalues, symbols, values).tobytes()
+
+
+@pytest.mark.parametrize(
+    "diagonal, hops, exact",
+    [
+        ([2.5], [], [2.5]),
+        ([-7.0], [], [-7.0]),
+        ([0.0, 0.0], [1.0], [-1.0, 1.0]),
+        ([1.0, 3.0], [math.sqrt(2.0)], [2.0 - math.sqrt(3.0), 2.0 + math.sqrt(3.0)]),
+    ],
+)
+def test_one_and_two_node_chains(diagonal, hops, exact):
+    diagonal, hops = np.array(diagonal), np.array(hops)
+    tol = 16 * np.finfo(float).eps  # a few eps ||H||, with ||H|| < 4
+    fast = spectrum._chain_eigenvalues(diagonal, hops)
+    assert fast == pytest.approx(exact, rel=0, abs=tol)
+    assert fast.tobytes() == _on_fallback(spectrum._chain_eigenvalues, diagonal, hops).tobytes()
+
+
+@pytest.mark.parametrize("info", [1, -2])
+def test_lapack_failure_names_the_chain_and_info(monkeypatch, golden_cf, info):
+    sizes = []
+
+    def failing_dsterf(n, d, e):
+        sizes.append(n)
+        return info
+
+    monkeypatch.setattr(spectrum, "_load_dsterf", lambda: failing_dsterf)
+    with pytest.raises(NumericError) as failed:
+        sturmian_band_spectrum(golden_cf, 1.0, 5)
+    assert not isinstance(failed.value, ResolutionError)
+    assert str(failed.value) == (
+        f"level 5, q=8: LAPACK dsterf returned info = {info} on a {sizes[0]}-node chain"
+    )
 
 
 def test_mirror_axis_by_hand():
@@ -364,12 +447,15 @@ class TestTraceBounds:
     def test_strong_coupling_sup_stable_as_the_proxy_deepens(self, golden_cf):
         # at lambda = 10 the matrix tower's trace at level 15 is lost to
         # cancellation (16.09 where the exact trace is 0.10); the trace map
-        # keeps the sampled sup at t_0 = E = 11.142 for proxy 14 and 15
+        # keeps the sampled sup at t_0 = E = 11.142 for proxies 14 to 17.
+        # Proxy 17 needs the level 18 spectrum (q = 4181): about 0.3 s on the
+        # dsterf path, a few seconds more on the dense eigvalsh fallback
         sups = [
             trace_bound_scan(golden_cf, 10.0, proxy, proxy_level=proxy).overall_sup
-            for proxy in (14, 15)
+            for proxy in (14, 15, 16, 17)
         ]
-        assert sups[1] == pytest.approx(sups[0], rel=0.01)
+        for sup in sups[1:]:
+            assert sup == pytest.approx(sups[0], rel=0.01)
 
     def test_zero_coupling_rejected(self, golden_cf):
         with pytest.raises(InvalidInputError):
