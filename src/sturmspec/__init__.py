@@ -66,14 +66,10 @@ from .transfer import (
 )
 from .words import (
     SUBSTITUTION_TABLE,
-    FrequencyEstimate,
     Substitution,
     Word,
-    detect_palindromes,
-    detect_square_prefix,
     factor_set,
     fixed_point_prefix,
-    frequency,
     parse_substitution,
     substitute,
 )

@@ -121,8 +121,8 @@ def _circle_params(args, coupling=1.0):
 
 
 def _parse_levels(text, depth):
-    """Levels from a comma list of ``n`` and ``a..b`` tokens, each endpoint
-    in 0..depth; a range is checked before it is expanded."""
+    """Levels from a comma list of ``n`` and ``a..b`` tokens (a <= b), each
+    endpoint in 0..depth; a range is checked before it is expanded."""
     levels = []
     for token in text.split(","):
         token = token.strip()
@@ -133,6 +133,8 @@ def _parse_levels(text, depth):
             ends = (int(lo), int(hi)) if dots else (int(lo), int(lo))
         except ValueError:
             raise InvalidInputError(f"bad level token {token!r} in {text!r}")
+        if ends[0] > ends[1]:
+            raise InvalidInputError(f"reversed level range {token!r} in {text!r}")
         if not all(0 <= end <= depth for end in ends):
             raise DepthError(f"level token {token!r} outside 0..{depth} (the CF depth)")
         levels.extend(range(ends[0], ends[1] + 1))

@@ -42,9 +42,11 @@ from .sturmian import _standard_bytes, c_alpha_prefix
 from .transfer import lyapunov_estimate, sturmian_traces
 from .words import Word
 
-# Gaps at most this many eps * ||H|| wide count as closed: the QL solver
-# places every eigenvalue within a small multiple of eps * ||H|| of the exact
-# one, and ||H|| <= 2 + max|V|.
+# Gaps at most this many eps * ||H|| wide count as closed, with
+# ||H|| <= 2 + max|V|.  64 is a working scale for the QL solver's rounding,
+# not a proven bound: past q of about 100, random mirrored words have shown
+# eigenvalue errors up to 109 eps * (2 + max|V|).  An exact Sturm count on
+# the folded chains is the planned check (ROADMAP item 8).
 CLOSED_GAP_EPS = 64
 
 # Longest period whose band edges are computed.  On a 2-vCPU Xeon, golden

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DepthError, InvalidInputError, WindowError
 from .words import Word
 
@@ -88,17 +90,14 @@ def parse_cf_spec(text):
         token = token.strip()
         if not token:
             continue
-        if "x" in token:
-            base, _, count = token.partition("x")
-            try:
-                coeffs.extend([int(base)] * int(count))
-            except ValueError:
-                raise InvalidInputError(f"bad coefficient token {token!r}")
-        else:
-            try:
-                coeffs.append(int(token))
-            except ValueError:
-                raise InvalidInputError(f"bad coefficient token {token!r}")
+        base, x, count = token.partition("x")
+        try:
+            value, repeat = int(base), int(count) if x else 1
+        except ValueError:
+            raise InvalidInputError(f"bad coefficient token {token!r}")
+        if repeat < 1:
+            raise InvalidInputError(f"repeat count below 1 in coefficient token {token!r}")
+        coeffs.extend([value] * repeat)
     if not coeffs:
         raise InvalidInputError(f"no coefficients in {text!r}")
     return coeffs
@@ -195,7 +194,7 @@ class WindowCoverageReport:
 
     Two containment notions are reported.  ``all_windows_contain_start``
     (an occurrence of the cube *begins* in every window) is what the
-    one-occurrence-per-window frequency bound needs.  The stricter
+    one-occurrence-per-window density bound needs.  The stricter
     ``all_windows_contain_cube`` (a full copy fits inside every window)
     can genuinely fail at the same window length: occurrence starts can be
     up to ~4.24 q_n apart in the golden-mean word, which full containment
@@ -232,46 +231,24 @@ def window_coverage_check(cf, n, prefix_length):
     window = (6 if cf.coefficient(n + 1) >= 2 else 7) * q_n
     prefix = c_alpha_prefix(cf, prefix_length)
     cube = standard_words(cf, n).word(n) * 3
-    occ = prefix.occurrences(cube)
-    cube_len = len(cube)
-    last_start = prefix_length - window
-    if not occ:
-        return WindowCoverageReport(
-            level=n,
-            q_n=q_n,
-            window_length=window,
-            prefix_length=prefix_length,
-            cube_occurrences=0,
-            max_start_gap=prefix_length,
-            all_windows_contain_start=False,
-            all_windows_contain_cube=False,
-            minimal_full_window=prefix_length + cube_len,
-            worst_offset=0,
-        )
-    # wait(j) = distance from window start j to the next occurrence start;
-    # over j <= last window start it peaks at j = 0 and just past each
-    # occurrence (or after the final occurrence, when nothing follows).
-    worst_wait, worst = occ[0], 0
-    for prev, cur in zip(occ, occ[1:]):
-        j = prev + 1
-        if j > last_start:
-            break
-        wait = cur - j
-        if wait > worst_wait:
-            worst_wait, worst = wait, j
-    if occ[-1] + 1 <= last_start:  # windows past the final occurrence
-        worst_wait, worst = prefix_length, occ[-1] + 1
-    gaps = [b - a for a, b in zip(occ, occ[1:])]
-    max_gap = max(gaps, default=0)
+    occ = np.array(prefix.occurrences(cube), dtype=np.int64)
+    # wait(j) = distance from window start j to the next occurrence start
+    # (prefix_length when none follows); over the window starts it peaks at
+    # j = 0 and just past each occurrence.
+    starts = np.concatenate(([0], occ + 1))
+    waits = np.append(occ - starts[:-1], prefix_length)
+    kept = np.count_nonzero(starts <= prefix_length - window)  # starts ascend
+    worst = int(np.argmax(waits[:kept]))  # the first longest wait
+    worst_wait = int(waits[worst])
     return WindowCoverageReport(
         level=n,
         q_n=q_n,
         window_length=window,
         prefix_length=prefix_length,
         cube_occurrences=len(occ),
-        max_start_gap=max_gap,
+        max_start_gap=int(np.diff(occ).max(initial=0)) if len(occ) else prefix_length,
         all_windows_contain_start=worst_wait <= window - 1,
-        all_windows_contain_cube=worst_wait <= window - cube_len,
-        minimal_full_window=worst_wait + cube_len,
-        worst_offset=worst,
+        all_windows_contain_cube=worst_wait <= window - len(cube),
+        minimal_full_window=worst_wait + len(cube),
+        worst_offset=int(starts[worst]),
     )

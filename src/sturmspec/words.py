@@ -8,7 +8,6 @@ only at the text boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -259,57 +258,3 @@ def factor_set(word, length):
         bound *= k
     order, first = _runs(code)
     return {word[i : i + length] for i in order[first].tolist()}
-
-
-@dataclass(frozen=True)
-class FrequencyEstimate:
-    """Overlapping occurrence count of ``target`` in a fixed prefix.
-
-    ``density`` is the exact rational count / (prefix_length - |target| + 1);
-    rounding is the caller's business.
-    """
-
-    target: Word
-    prefix_length: int
-    occurrence_count: int
-    density: Fraction
-
-
-def frequency(word, target):
-    """Count overlapping occurrences of ``target`` in ``word``."""
-    if len(target) == 0:
-        raise InvalidInputError("empty target word")
-    if len(target) > len(word):
-        raise WindowError("target longer than the word")
-    count = len(word.occurrences(target))
-    windows = len(word) - len(target) + 1
-    return FrequencyEstimate(
-        target=target,
-        prefix_length=len(word),
-        occurrence_count=count,
-        density=Fraction(count, windows),
-    )
-
-
-def detect_square_prefix(word, n):
-    """True iff w(k) = w(k+n) for 1 <= k <= n (1-indexed): the first 2n
-    symbols form a square of period n."""
-    if n < 1:
-        raise InvalidInputError("period must be >= 1")
-    if len(word) < 2 * n:
-        raise WindowError(f"word of length {len(word)} shorter than 2n = {2 * n}")
-    return word.symbols[:n] == word.symbols[n : 2 * n]
-
-
-def detect_palindromes(word, length):
-    """Start positions of all length-``length`` palindromic factors."""
-    if length < 1:
-        raise InvalidInputError("palindrome length must be >= 1")
-    if length > len(word):
-        raise WindowError("palindrome length exceeds word length")
-    syms = word.symbols
-    return [
-        i
-        for i in range(len(syms) - length + 1)
-        if syms[i : i + length] == syms[i : i + length][::-1]
-    ]

@@ -20,12 +20,12 @@ from sturmspec import (
     constant_window,
     convergents,
     discontinuity_indices,
-    frequency,
     gordon_certificate,
     hull_factor_comparison,
     measure_and_intersect,
     periodic_coefficients,
     periodic_window,
+    stability_measure_bound,
     standard_words,
     sturmian_band_spectrum,
     trace_bound_scan,
@@ -149,7 +149,6 @@ def test_criterion_08_gordon_inequality(golden_cf, fib_spectra):
 def test_criterion_09_window_property_and_measure_bound(golden_cf):
     start = time.perf_counter()
     prefix_length = 10**6
-    prefix = c_alpha_prefix(golden_cf, prefix_length)
     ok = True
     for n in range(3, 8):
         q_n = golden_cf.q[n]
@@ -158,9 +157,10 @@ def test_criterion_09_window_property_and_measure_bound(golden_cf):
         # copies cannot fit in them once starts run 4.24 q_n apart (n >= 5)
         ok = ok and coverage.window_length == 7 * q_n
         ok = ok and coverage.all_windows_contain_start
-        cube = standard_words(golden_cf, n).word(n) * 3
-        density = frequency(prefix, cube).density
-        ok = ok and q_n * density >= Fraction(1, 7) - Fraction(2 * q_n, prefix_length)
+        # q_n * d(s_n^3), counted exactly over the prefix, clears 1/7 - slack
+        bound = stability_measure_bound(golden_cf, n, prefix_length)
+        ok = ok and bound.bound_ok is True
+        ok = ok and bound.lower_bound == Fraction(1, 7) - Fraction(2 * q_n, prefix_length)
     ok = ok and (time.perf_counter() - start) < 60.0
     announce(9, "window property and q_n * density >= 1/7 - slack", ok)
 

@@ -513,6 +513,14 @@ class TestRefusedRuns:
               "--L", "2", "--prefix", "100"], 2, "--cf-depth does not apply to --alpha-cf"),
             (["appendix", "--alpha-cf", "1,2,1x30", "--cf-depth", "40", "--beta", "1/4"],
              2, "--cf-depth does not apply to --alpha-cf"),
+            # a reversed range is refused, not skipped
+            (["spectrum", "--alpha-period", ":1", "--levels", "9..3,2"], 2, "'9..3'"),
+            (["spectrum", "--alpha-period", ":1", "--levels", "9..3"], 2, "reversed"),
+            # a repeat count below 1, or a missing one, is refused, not dropped
+            (["spectrum", "--alpha-cf", "1,1x-5,1,1", "--levels", "1..3"], 2, "'1x-5'"),
+            (["spectrum", "--alpha-cf", "1,1x0,1", "--levels", "1"], 2, "'1x0'"),
+            (["spectrum", "--alpha-cf", "x3", "--levels", "1"], 2, "'x3'"),
+            (["spectrum", "--alpha-cf", "1,1x", "--levels", "1"], 2, "'1x'"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

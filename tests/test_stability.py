@@ -15,7 +15,6 @@ from sturmspec import (
     c_alpha_prefix,
     constant_window,
     convergents,
-    detect_square_prefix,
     gordon_certificate,
     periodic_window,
     stability_measure_bound,
@@ -442,9 +441,9 @@ class TestCubeToSquare:
             q = golden_cf.q[level]
             cube = standard_words(golden_cf, level).word(level) * 3
             for position in prefix.occurrences(cube)[:50]:
-                chunk = prefix[position : position + 3 * q]
-                assert detect_square_prefix(chunk, q)
-                assert detect_square_prefix(prefix[position + q : position + 3 * q], q)
+                chunk = prefix.symbols[position : position + 3 * q]
+                # squares of period q begin at position and at position + q
+                assert chunk[:q] == chunk[q : 2 * q] == chunk[2 * q :]
 
 
 class TestMeasureBound:

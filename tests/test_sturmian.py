@@ -1,7 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sturmspec import (
     c_alpha_prefix,
@@ -13,7 +16,6 @@ from sturmspec import (
     window_coverage_check,
 )
 from sturmspec.errors import DepthError, InvalidInputError, WindowError
-from sturmspec.words import frequency, Word
 
 
 class TestConvergents:
@@ -105,11 +107,11 @@ class TestLimitWord:
             c_alpha_prefix(convergents([1, 1, 1]), 100)
 
     def test_one_density_near_convergent(self, golden_cf):
-        # letter frequency tracks the convergent to within 2/q_N
+        # the density of 1s tracks the convergent to within 2/q_N
         for n in (8, 12, 16):
             q = golden_cf.q[n]
             prefix = c_alpha_prefix(golden_cf, q)
-            dens = frequency(prefix, Word(b"\x01", 2)).density
+            dens = Fraction(prefix.symbols.count(1), q)
             assert abs(dens - golden_cf.convergent(n)) <= Fraction(2, q)
 
 
@@ -191,3 +193,62 @@ class TestWindowCoverage:
     def test_prefix_too_short(self, golden_cf):
         with pytest.raises(WindowError):
             window_coverage_check(golden_cf, 5, 50)
+
+
+@st.composite
+def coverage_cases(draw):
+    """Coefficients 1..5, a level n with q_n <= 300, and a prefix length in
+    8 q_n .. 8 q_n + 500, with the CF deep enough to spell the prefix."""
+    coeffs = draw(st.lists(st.integers(1, 5), min_size=2, max_size=7))
+    cf = convergents(coeffs)
+    n = draw(st.integers(1, len(coeffs) - 1))
+    while cf.q[n] > 300:
+        n -= 1
+    prefix_length = 8 * cf.q[n] + draw(st.integers(0, 500))
+    while cf.q[cf.depth] < prefix_length:
+        coeffs.append(draw(st.integers(1, 5)))
+        cf = convergents(coeffs)
+    return coeffs, n, prefix_length
+
+
+def scanned_coverage(cf, n, prefix_length):
+    """Every coverage report field, from a scan over every window start."""
+    prefix = c_alpha_prefix(cf, prefix_length).symbols
+    q_n = cf.q[n]
+    window = (6 if cf.coefficient(n + 1) >= 2 else 7) * q_n
+    cube = (standard_words(cf, n).word(n) * 3).symbols
+    occ = [j for j in range(prefix_length) if prefix.startswith(cube, j)]
+    starts = range(prefix_length - window + 1)
+    worst_wait = worst = -1
+    for j in starts:
+        found = prefix.find(cube, j)
+        wait = prefix_length if found == -1 else found - j
+        if wait > worst_wait:
+            worst_wait, worst = wait, j
+    return dict(
+        level=n,
+        q_n=q_n,
+        window_length=window,
+        prefix_length=prefix_length,
+        cube_occurrences=len(occ),
+        max_start_gap=max((b - a for a, b in zip(occ, occ[1:])), default=0)
+        if occ
+        else prefix_length,
+        all_windows_contain_start=all(any(j <= i < j + window for i in occ) for j in starts),
+        all_windows_contain_cube=all(cube in prefix[j : j + window] for j in starts),
+        minimal_full_window=worst_wait + len(cube),
+        worst_offset=worst,
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=coverage_cases())
+@example(case=([1, 1, 1, 2, 1, 5, 4, 1, 3], 4, 64))  # s_4^3 never occurs
+@example(case=([5, 1, 1, 1, 3, 4], 3, 264))  # windows past the last s_3^3
+def test_window_coverage_matches_window_scan(case):
+    coeffs, n, prefix_length = case
+    cf = convergents(coeffs)
+    report = dataclasses.asdict(window_coverage_check(cf, n, prefix_length))
+    expected = scanned_coverage(cf, n, prefix_length)
+    assert report == expected
+    assert [type(v) for v in report.values()] == [type(v) for v in expected.values()]

@@ -8,11 +8,8 @@ from sturmspec import (
     SUBSTITUTION_TABLE,
     Substitution,
     Word,
-    detect_palindromes,
-    detect_square_prefix,
     factor_set,
     fixed_point_prefix,
-    frequency,
     parse_substitution,
     substitute,
 )
@@ -83,6 +80,13 @@ class TestFixedPoint:
     def test_result_is_prefix_of_own_image(self):
         word = fixed_point_prefix(FIB, 0, 40)
         assert word.is_prefix_of(substitute(FIB, word))
+
+    def test_fibonacci_letter_density(self):
+        word = fixed_point_prefix(FIB, 0, 10**6)[: 10**6]
+        density = word.symbols.count(0) / len(word)
+        golden = (5**0.5 - 1) / 2
+        assert abs(density - golden) < 1e-3
+        assert abs(density - 0.6180) < 1e-3
 
     def test_unstable_seed(self):
         with pytest.raises(NotAFixedPointError):
@@ -234,79 +238,3 @@ def test_substitute_matches_per_symbol_join(case):
     for _ in range(power):
         syms = b"".join(images[s] for s in syms)
     assert substitute(subst, word, power) == Word(syms, subst.alphabet_size)
-
-
-class TestFrequency:
-    def test_full_overlap(self):
-        est = frequency(w("aaaa", "ab"), w("aa", "ab"))
-        assert est.occurrence_count == 3
-        assert est.density == 1
-
-    def test_hand_count(self):
-        est = frequency(w("10110"), w("11"))
-        assert est.occurrence_count == 1
-        assert est.density.numerator == 1 and est.density.denominator == 4
-
-    def test_fibonacci_letter_density(self):
-        word = fixed_point_prefix(FIB, 0, 10**6)[: 10**6]
-        est = frequency(word, w("a", "ab"))
-        # independent count straight off the symbol buffer
-        assert est.occurrence_count == word.symbols.count(0)
-        golden = (5**0.5 - 1) / 2
-        assert abs(float(est.density) - golden) < 1e-3
-        assert abs(float(est.density) - 0.6180) < 1e-3
-
-    def test_additivity(self, golden_cf):
-        prefix = c_alpha_prefix(golden_cf, 10**4)
-        target = w("10")
-        d_t = frequency(prefix, target).density
-        extended = sum(
-            frequency(prefix, target + w(x)).density for x in ("0", "1")
-        )
-        assert abs(float(d_t - extended)) <= (len(target) + 1) / len(prefix)
-
-    def test_empty_target(self):
-        with pytest.raises(InvalidInputError):
-            frequency(w("0101"), Word(b"", 2))
-
-
-class TestSquarePrefix:
-    def test_square(self):
-        assert detect_square_prefix(w("0101"), 2)
-
-    def test_not_square(self):
-        assert not detect_square_prefix(w("0110"), 2)
-
-    def test_fibonacci_s4_square(self):
-        assert detect_square_prefix(w("1011010110"), 5)
-
-    def test_matches_slice_comparison(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            length = rng.randint(2, 20)
-            word = Word(bytes(rng.randrange(2) for _ in range(length)), 2)
-            n = rng.randint(1, length // 2)
-            assert detect_square_prefix(word, n) == (
-                word.symbols[0:n] == word.symbols[n : 2 * n]
-            )
-
-    def test_window_error(self):
-        with pytest.raises(WindowError):
-            detect_square_prefix(w("010"), 2)
-
-
-class TestPalindromes:
-    def test_aba(self):
-        assert detect_palindromes(w("aba", "ab"), 3) == [0]
-
-    def test_none(self):
-        assert detect_palindromes(w("ab", "ab"), 2) == []
-
-    def test_against_reverse_compare(self):
-        word = fixed_point_prefix(FIB, 0, 100)[:100]
-        expected = [
-            i
-            for i in range(98)
-            if word.symbols[i : i + 3] == word.symbols[i : i + 3][::-1]
-        ]
-        assert detect_palindromes(word, 3) == expected
