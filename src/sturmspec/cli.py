@@ -97,18 +97,28 @@ def _parse_fraction(text, name):
     return value
 
 
+@functools.lru_cache(maxsize=64)  # main() runs many times per process in batch use
+def _cf_table(alpha_cf, alpha_period, cf_depth):
+    """The convergent table of a rotation spec, parsed once per process.
+    A ContinuedFraction is frozen with tuple fields, so callers share it; a
+    refused spec raises again on every call, as no exception is cached."""
+    if alpha_cf:
+        coeffs = parse_cf_spec(alpha_cf)
+    else:
+        pre_text, _, per_text = alpha_period.partition(":")
+        pre = parse_cf_spec(pre_text) if pre_text.strip() else []
+        per = parse_cf_spec(per_text) if per_text.strip() else []
+        coeffs = periodic_coefficients(pre, per, cf_depth)
+    return convergents(coeffs)
+
+
 def _resolve_cf(args):
     if args.alpha_cf:
         _refuse_unread(args, ("cf_depth",), "does not apply to --alpha-cf")
-        coeffs = parse_cf_spec(args.alpha_cf)
-    elif args.alpha_period:
-        pre_text, _, per_text = args.alpha_period.partition(":")
-        pre = parse_cf_spec(pre_text) if pre_text.strip() else []
-        per = parse_cf_spec(per_text) if per_text.strip() else []
-        coeffs = periodic_coefficients(pre, per, _value(args, "cf_depth"))
-    else:
-        raise InvalidInputError("need --alpha-cf or --alpha-period")
-    return convergents(coeffs)
+        return _cf_table(args.alpha_cf, None, None)
+    if args.alpha_period:
+        return _cf_table(None, args.alpha_period, _value(args, "cf_depth"))
+    raise InvalidInputError("need --alpha-cf or --alpha-period")
 
 
 def _circle_params(args, coupling=1.0):
@@ -292,6 +302,12 @@ def _task_gordon(args):
             proxy = int(proxy_text)
         except ValueError:
             raise InvalidInputError(f"bad proxy level {proxy_text!r} in {args.energies!r}")
+        # the proxy spectrum intersects levels K and K + 1
+        if not 0 <= proxy <= cf.depth - 1:
+            raise InvalidInputError(
+                f"--energies {args.energies}: K must be in 0..{cf.depth - 1} "
+                f"for CF depth {cf.depth} (levels K and K + 1)"
+            )
     else:
         energies = _parse_energies(args.energies)
         proxy = max(level, 8)

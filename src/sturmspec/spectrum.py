@@ -16,9 +16,12 @@ palindromes (Hof-Knill-Simon, CMP 174, 1995).  Folding the q-cycle along the
 mirror gives a path of about q/2 nodes, so each of the two Hamiltonians
 splits into two Jacobi (symmetric tridiagonal) chains on that path which
 differ only in the signs at their two ends.  Each chain is two vectors, and
-LAPACK's tridiagonal QL solver ``dsterf`` takes its eigenvalues in O(q^2)
-time and O(q) memory; where numpy does not export that routine, ``eigvalsh``
-on the dense chain gives the same bits in O(q^3) time and O(q^2) memory.
+LAPACK's tridiagonal QL solver ``dsterf`` takes the eigenvalues of a
+Hamiltonian's two chains in one O(q^2) time, O(q) memory call, which runs
+without the GIL: from PARALLEL_NODES nodes up, the antiperiodic call runs on
+a pooled worker thread while the calling thread makes the periodic one.
+Where numpy does not export that routine, ``eigvalsh`` on each dense chain
+gives the same bits in O(q^3) time and O(q^2) memory.
 For q <= 2 or a word without a mirror there is no fold, and each corner is
 its full q x q matrix.  Periods above MAX_PERIOD are refused.
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +54,17 @@ from .words import Word
 CLOSED_GAP_EPS = 64
 
 # Longest period whose band edges are computed.  On a 2-vCPU Xeon, golden
-# level 18 (q = 4181) takes about 0.25 s through the CLI with a 32 MB peak on
-# the dsterf path, and about 2.3-2.9 s with a 97 MB peak on the dense
+# level 18 (q = 4181) takes about 0.23 s as a fresh CLI process with a 33 MB
+# peak on the dsterf path, and about 2.3-2.9 s with a 97 MB peak on the dense
 # fallback; a full q x q matrix at the limit would take 200 MB.
 MAX_PERIOD = 5000
+
+# Folded chains of at least this many nodes take the antiperiodic pair on the
+# pooled worker thread while the calling thread solves the periodic pair;
+# shorter ones solve all four in one call, since waking the worker costs
+# more than the overlap saves there.  Golden level 12 (q = 233) is the first
+# with 117-node chains.
+PARALLEL_NODES = 100
 
 # Relative margin of the certificate trace bound over the sampled sup.  The
 # sup over finitely many proxy energies can undershoot the sup over the
@@ -111,33 +122,73 @@ def _load_dsterf():
     return dsterf
 
 
-def _chain_eigenvalues(diagonal, hops):
-    """Ascending eigenvalues of the Jacobi chain with ``diagonal`` (n values)
-    and ``hops`` (n - 1 values) off it.
+def _chain_eigenvalues(chains):
+    """Ascending eigenvalues of the Jacobi chains ``chains`` together, each
+    a pair (diagonal, hops) of n values on the diagonal and n - 1 off it.
 
-    LAPACK ``dsterf`` (Pal-Walker-Kahan QL) takes O(n^2) time and O(n)
-    memory on the two vectors.  ``eigvalsh`` on the dense chain, the fallback
-    where numpy does not export ``dsterf``, gives the same bits: its
-    Householder reduction leaves a tridiagonal matrix as it is, and then it
-    calls ``dsterf`` too (below |V| of about 1e146, past which it rescales
-    the matrix first).
+    LAPACK ``dsterf`` (Pal-Walker-Kahan QL) takes them in one O(n^2) time,
+    O(n) memory call on the chains stacked with a zero hop between
+    neighbours: it splits the matrix at each zero hop, solves each block
+    exactly as it would alone, and sorts all the eigenvalues at the end.
+    ``eigvalsh`` on each dense chain, the fallback where numpy does not
+    export ``dsterf``, gives the same bits: its Householder reduction leaves
+    a tridiagonal matrix as it is, and then it calls ``dsterf`` too (below
+    |V| of about 1e146, past which it rescales the matrix first).  It never
+    builds the stacked dense matrix, which would take 4 times the memory of
+    the chains' own dense matrices together.  Either way only a +0 and a -0 eigenvalue, which compare
+    equal, can come out in another order than the per-chain results sorted.
     """
-    n = len(diagonal)
-    if len(hops) != n - 1:
-        raise InvalidInputError(f"a {n}-node chain needs {n - 1} hops, got {len(hops)}")
+    for diagonal, hops in chains:
+        if len(hops) != len(diagonal) - 1:
+            raise InvalidInputError(
+                f"a {len(diagonal)}-node chain needs {len(diagonal) - 1} hops, got {len(hops)}"
+            )
     dsterf = _load_dsterf()
     if dsterf is None:
-        chain = np.diag(diagonal)
-        chain.flat[1 :: n + 1] = hops
-        chain.flat[n :: n + 1] = hops
-        return np.linalg.eigvalsh(chain)
-    # dsterf overwrites d with the eigenvalues and e with scratch
-    d = np.array(diagonal, dtype=np.float64)
-    e = np.array(hops, dtype=np.float64)
-    info = dsterf(n, d.ctypes.data, e.ctypes.data)
+        parts = []
+        for diagonal, hops in chains:
+            n = len(diagonal)
+            chain = np.diag(diagonal)
+            chain.flat[1 :: n + 1] = hops
+            chain.flat[n :: n + 1] = hops
+            parts.append(np.linalg.eigvalsh(chain))
+        return np.sort(np.concatenate(parts))
+    # dsterf overwrites d with the eigenvalues and e with scratch; e carries
+    # one zero after each chain, the last one past the n - 1 that are read
+    d = np.concatenate([diagonal for diagonal, _ in chains], dtype=np.float64)
+    e = np.concatenate([part for _, hops in chains for part in (hops, [0.0])], dtype=np.float64)
+    info = dsterf(len(d), d.ctypes.data, e.ctypes.data)
     if info:
-        raise NumericError(f"LAPACK dsterf returned info = {info} on a {n}-node chain")
+        raise NumericError(
+            f"LAPACK dsterf returned info = {info} on {len(d)} nodes in {len(chains)} chains"
+        )
     return d
+
+
+# The pooled worker thread of each process, or None where one CPU is usable.
+# Keyed on the process id: a fork child inherits the parent's executor but
+# not its thread, and would wait on it forever.
+_WORKERS = {}
+
+
+def _edge_worker():
+    """The one pooled worker thread of this process, or None where only one
+    CPU is usable.  ``concurrent.futures`` is imported on first use."""
+    pid = os.getpid()
+    if pid not in _WORKERS:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on macOS and Windows
+            cpus = os.cpu_count() or 1
+        worker = None
+        if cpus > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            worker = ThreadPoolExecutor(1, thread_name_prefix="sturmspec-edges")
+        # a racing first call may have stored its own executor, whose thread
+        # starts only on a first submit; the one stored first is kept
+        _WORKERS.setdefault(pid, worker)
+    return _WORKERS[pid]
 
 
 def _edge_eigenvalues(symbols, values):
@@ -159,6 +210,11 @@ def _edge_eigenvalues(symbols, values):
     second axis point, flips that end's sign, so its blocks have opposite
     signs.  For q <= 2 or a word without a mirror no fold exists and each
     corner is the full q x q matrix.
+
+    The four chains take one ``_chain_eigenvalues`` call.  From
+    PARALLEL_NODES nodes up, with a worker thread to spare, the
+    antiperiodic pair takes its own call on that thread while the periodic
+    pair takes one here, and the two ascending results are sorted together.
     """
     q = len(values)
     m = _mirror_axis(symbols) if q > 2 else None
@@ -175,9 +231,8 @@ def _edge_eigenvalues(symbols, values):
         hops[0] = math.sqrt(2.0)
     if site_ends[1]:
         hops[-1] = math.sqrt(2.0)
-    eigenvalues = []
-    # periodic (+, +) and (-, -), then antiperiodic (+, -) and (-, +)
-    for head, tail in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)):
+
+    def chain(head, tail):
         ends = diagonal.copy()
         lo, hi = 0, n
         if site_ends[0]:
@@ -188,8 +243,20 @@ def _edge_eigenvalues(symbols, values):
             hi = n - int(tail < 0)
         else:
             ends[-1] += tail
-        eigenvalues.append(_chain_eigenvalues(ends[lo:hi], hops[lo : hi - 1]))
-    return np.sort(np.concatenate(eigenvalues))
+        return ends[lo:hi], hops[lo : hi - 1]
+
+    periodic = [chain(1.0, 1.0), chain(-1.0, -1.0)]
+    antiperiodic = [chain(1.0, -1.0), chain(-1.0, 1.0)]
+    worker = _edge_worker() if n >= PARALLEL_NODES else None
+    if worker is None:
+        return _chain_eigenvalues(periodic + antiperiodic)
+    pending = worker.submit(_chain_eigenvalues, antiperiodic)
+    try:
+        periodic_edges = _chain_eigenvalues(periodic)
+    except NumericError:
+        pending.exception()  # waits for the worker; the periodic error is the one raised
+        raise
+    return np.sort(np.concatenate([periodic_edges, pending.result()]))
 
 
 @dataclass(frozen=True)

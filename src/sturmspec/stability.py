@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, WindowError
-from .sturmian import window_coverage_check
+from .sturmian import WindowCoverageReport, window_coverage_check
 from .transfer import transfer_product
 
 
@@ -164,6 +164,7 @@ class MeasureBoundReport:
     lower_bound: Fraction
     bound_ok: bool | None  # None when the window check failed
     shortfall: bool  # cube never occurs in the prefix
+    coverage: WindowCoverageReport  # the window check the bound rests on
 
 
 def stability_measure_bound(cf, level, prefix_length):
@@ -201,4 +202,5 @@ def stability_measure_bound(cf, level, prefix_length):
         lower_bound=lower,
         bound_ok=(product >= lower) if window_ok else None,
         shortfall=count == 0,
+        coverage=coverage,
     )

@@ -31,7 +31,6 @@ from sturmspec import (
     trace_bound_scan,
     transfer_product,
     verify_conjugation_identity,
-    window_coverage_check,
     window_from_word,
     zero_lyapunov_check,
 )
@@ -152,13 +151,12 @@ def test_criterion_09_window_property_and_measure_bound(golden_cf):
     ok = True
     for n in range(3, 8):
         q_n = golden_cf.q[n]
-        coverage = window_coverage_check(golden_cf, n, prefix_length)
+        bound = stability_measure_bound(golden_cf, n, prefix_length)
         # an occurrence of s_n^3 begins in every sliding 7 q_n window; full
         # copies cannot fit in them once starts run 4.24 q_n apart (n >= 5)
-        ok = ok and coverage.window_length == 7 * q_n
-        ok = ok and coverage.all_windows_contain_start
+        ok = ok and bound.coverage.window_length == 7 * q_n
+        ok = ok and bound.coverage.all_windows_contain_start
         # q_n * d(s_n^3), counted exactly over the prefix, clears 1/7 - slack
-        bound = stability_measure_bound(golden_cf, n, prefix_length)
         ok = ok and bound.bound_ok is True
         ok = ok and bound.lower_bound == Fraction(1, 7) - Fraction(2 * q_n, prefix_length)
     ok = ok and (time.perf_counter() - start) < 60.0

@@ -119,7 +119,7 @@ class TestSpectrumTask:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert re.fullmatch(
-            rf"error: level 5, q=8: LAPACK dsterf returned info = {info} on a \d+-node chain\n",
+            rf"error: level 5, q=8: LAPACK dsterf returned info = {info} on \d+ nodes in 4 chains\n",
             err,
         )
 
@@ -521,6 +521,15 @@ class TestRefusedRuns:
             (["spectrum", "--alpha-cf", "1,1x0,1", "--levels", "1"], 2, "'1x0'"),
             (["spectrum", "--alpha-cf", "x3", "--levels", "1"], 2, "'x3'"),
             (["spectrum", "--alpha-cf", "1,1x", "--levels", "1"], 2, "'1x'"),
+            # the gordon proxy level K needs levels K and K + 1 of the tower
+            (["gordon", "--alpha-period", ":1", "--level", "3",
+              "--energies", "from-spectrum:-1"], 2, "--energies from-spectrum:-1"),
+            (["gordon", "--alpha-period", ":1", "--level", "3",
+              "--energies", "from-spectrum:-1"], 2, "CF depth 40"),
+            (["gordon", "--alpha-period", ":1", "--cf-depth", "10", "--level", "3",
+              "--energies", "from-spectrum:10"], 2, "--energies from-spectrum:10"),
+            (["gordon", "--alpha-period", ":1", "--cf-depth", "10", "--level", "3",
+              "--energies", "from-spectrum:10"], 2, "CF depth 10"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
@@ -530,6 +539,26 @@ class TestRefusedRuns:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert needle in lines[0]
+
+
+def test_cf_spec_parsed_once_per_process(monkeypatch, capsys):
+    built = []
+
+    def counted(coeffs):
+        built.append(coeffs)
+        return convergents(coeffs)
+
+    monkeypatch.setattr(cli, "convergents", counted)
+    cli._cf_table.cache_clear()
+    argv = ["spectrum", "--alpha-period", ":1", "--cf-depth", "25", "--levels", "3"]
+    assert [run_cli(argv, capsys)[0] for _ in range(2)] == [0, 0]
+    assert len(built) == 1
+    # lru_cache stores no exception: a refused spec is refused on every call
+    argv = ["spectrum", "--alpha-cf", "1,1x0", "--levels", "1"]
+    for _ in range(2):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "'1x0'" in err
+    cli._cf_table.cache_clear()
 
 
 def test_level_range_refused_before_expansion(capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -280,11 +284,11 @@ def test_dsterf_matches_the_eigvalsh_fallback_bit_for_bit(word):
     ],
 )
 def test_one_and_two_node_chains(diagonal, hops, exact):
-    diagonal, hops = np.array(diagonal), np.array(hops)
+    chains = [(np.array(diagonal), np.array(hops))]
     tol = 16 * np.finfo(float).eps  # a few eps ||H||, with ||H|| < 4
-    fast = spectrum._chain_eigenvalues(diagonal, hops)
+    fast = spectrum._chain_eigenvalues(chains)
     assert fast == pytest.approx(exact, rel=0, abs=tol)
-    assert fast.tobytes() == _on_fallback(spectrum._chain_eigenvalues, diagonal, hops).tobytes()
+    assert fast.tobytes() == _on_fallback(spectrum._chain_eigenvalues, chains).tobytes()
 
 
 @pytest.mark.parametrize("info", [1, -2])
@@ -296,12 +300,142 @@ def test_lapack_failure_names_the_chain_and_info(monkeypatch, golden_cf, info):
         return info
 
     monkeypatch.setattr(spectrum, "_load_dsterf", lambda: failing_dsterf)
+    chains = [(np.zeros(3), np.ones(2)), (np.zeros(2), np.ones(1))]
+    with pytest.raises(NumericError) as failed:
+        spectrum._chain_eigenvalues(chains)
+    assert str(failed.value) == f"LAPACK dsterf returned info = {info} on 5 nodes in 2 chains"
+    # golden level 5 (q = 8) folds into four short chains, all in one call
     with pytest.raises(NumericError) as failed:
         sturmian_band_spectrum(golden_cf, 1.0, 5)
     assert not isinstance(failed.value, ResolutionError)
     assert str(failed.value) == (
-        f"level 5, q=8: LAPACK dsterf returned info = {info} on a {sizes[0]}-node chain"
+        f"level 5, q=8: LAPACK dsterf returned info = {info} on {sizes[-1]} nodes in 4 chains"
     )
+
+
+def test_mismatched_hops_refused():
+    with pytest.raises(InvalidInputError, match="a 3-node chain needs 2 hops, got 3"):
+        spectrum._chain_eigenvalues([(np.zeros(2), np.ones(1)), (np.zeros(3), np.ones(3))])
+
+
+@st.composite
+def jacobi_chains(draw):
+    """One to five chains of 1-40 nodes, with any diagonal and nonzero hops."""
+    chains = []
+    for n in draw(st.lists(st.integers(1, 40), min_size=1, max_size=5)):
+        diagonal = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+        hops = draw(st.lists(st.floats(0.1, 2.0), min_size=n - 1, max_size=n - 1))
+        chains.append((np.array(diagonal), np.array(hops)))
+    return chains
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["dsterf", "eigvalsh"])
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(chains=jacobi_chains())
+def test_stacked_chains_match_the_sorted_per_chain_calls(fallback, chains):
+    # dsterf splits the stack at each zero hop and solves each block as it
+    # would alone; the fallback solves each dense chain on its own
+    def solve(chains):
+        if fallback:
+            return _on_fallback(spectrum._chain_eigenvalues, chains)
+        return spectrum._chain_eigenvalues(chains)
+
+    per_chain = np.sort(np.concatenate([solve([chain]) for chain in chains]))
+    assert solve(chains).tobytes() == per_chain.tobytes()
+
+
+def _edges(symbols, values, threaded):
+    """The band edges with the antiperiodic pair forced onto a worker
+    thread, or forced inline."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as worker, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "PARALLEL_NODES", 1 if threaded else 10**9)
+        patch.setattr(spectrum, "_edge_worker", lambda: worker if threaded else None)
+        return _edge_eigenvalues(symbols, values)
+
+
+@pytest.mark.parametrize("coupling", [0.3, 1.0, 5.0, 10.0])
+@pytest.mark.parametrize("coefficient", [1, 2])
+def test_threaded_and_inline_edges_are_byte_equal(coefficient, coupling):
+    # golden (:1) and silver (:2) standard words up to q = 4181
+    cf = convergents([coefficient] * 20)
+    top = max(n for n in range(cf.depth + 1) if cf.q[n] <= 4181)
+    tower = standard_words(cf, top)
+    for level in range(top + 1):
+        symbols = tower.word(level).symbols
+        values = np.frombuffer(symbols, np.uint8) * coupling
+        inline = _edges(symbols, values, threaded=False)
+        assert _edges(symbols, values, threaded=True).tobytes() == inline.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(word=period_words(max_q=600, mirrored=True))
+def test_threaded_and_inline_edges_are_byte_equal_on_mirrored_words(word):
+    symbols, values, _ = word
+    inline = _edges(symbols, values, threaded=False)
+    assert _edges(symbols, values, threaded=True).tobytes() == inline.tobytes()
+
+
+def test_lapack_failure_on_the_worker_path(monkeypatch):
+    # both pairs fail; the error raised is the periodic pair's, once the
+    # worker is done
+    monkeypatch.setattr(spectrum, "_load_dsterf", lambda: lambda n, d, e: 1)
+    symbols, values = _standard_word(1, 13, 1.0)
+    with pytest.raises(NumericError, match=r"info = 1 on \d+ nodes in 2 chains$"):
+        _edges(symbols, values, threaded=True)
+
+
+def test_concurrent_callers_get_the_same_bytes(monkeypatch, golden_cf):
+    # four threads, more than the cores, race for the process's first worker
+    # and then share it, switching every microsecond
+    from concurrent.futures import ThreadPoolExecutor
+
+    def edges(level):
+        return np.array(sturmian_band_spectrum(golden_cf, 1.0, level).bands).tobytes()
+
+    serial = {level: edges(level) for level in (15, 16)}
+    monkeypatch.setattr(spectrum, "_WORKERS", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            results = list(callers.map(edges, [15, 16] * 8, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+        for worker in spectrum._WORKERS.values():
+            if worker is not None:
+                worker.shutdown()
+    assert list(spectrum._WORKERS) == [os.getpid()]
+    assert results == [serial[15], serial[16]] * 8
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork, Linux only")
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_fork_child_does_not_wait_on_the_parents_worker(monkeypatch, golden_cf):
+    from concurrent.futures import ThreadPoolExecutor
+
+    # the parent's worker has run, so its thread sits idle on the queue; the
+    # child inherits the executor without that thread
+    worker = ThreadPoolExecutor(1)
+    monkeypatch.setitem(spectrum._WORKERS, os.getpid(), worker)
+    parent = sturmian_band_spectrum(golden_cf, 1.0, 13)
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if sturmian_band_spectrum(golden_cf, 1.0, 13) == parent else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    worker.shutdown()
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the fork child's level 13 spectrum did not finish in 30 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_mirror_axis_by_hand():

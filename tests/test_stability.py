@@ -22,6 +22,7 @@ from sturmspec import (
     sturmian_band_spectrum,
     trace_bound_scan,
     transfer_product,
+    window_coverage_check,
     window_from_word,
 )
 from sturmspec.errors import InvalidInputError, WindowError
@@ -470,6 +471,12 @@ class TestMeasureBound:
     def test_prefix_too_short(self, golden_cf):
         with pytest.raises(WindowError):
             stability_measure_bound(golden_cf, 5, 100)
+
+    def test_carries_its_window_check(self, golden_cf):
+        report = stability_measure_bound(golden_cf, 4, 10**5)
+        assert report.coverage == window_coverage_check(golden_cf, 4, 10**5)
+        assert report.window_ok == report.coverage.all_windows_contain_start
+        assert report.cube_count == report.coverage.cube_occurrences
 
     def test_density_is_exact_fraction(self, golden_cf):
         report = stability_measure_bound(golden_cf, 3, 10**4)
