@@ -60,7 +60,6 @@ from .transfer import (
     LyapunovEstimate,
     TransferState,
     lyapunov_estimate,
-    sturmian_tower,
     sturmian_traces,
     transfer_product,
 )

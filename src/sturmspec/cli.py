@@ -155,20 +155,21 @@ def _parse_levels(text, depth):
 
 def _parse_energies(text):
     """``a:b:n`` linspace or a comma list of finite energies."""
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise InvalidInputError(f"energy range must be a:b:n, got {text!r}")
     try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise InvalidInputError(f"energy range must be a:b:n, got {text!r}")
+        if len(parts) == 3:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1:
-                raise InvalidInputError("energy count must be >= 1")
-            step = (hi - lo) / (n - 1) if n > 1 else 0.0
-            energies = [lo + i * step for i in range(n)]
         else:
             energies = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise InvalidInputError(f"bad energy spec {text!r}")
+        raise InvalidInputError(f"bad energy spec {text!r}") from None
+    if len(parts) == 3:
+        if n < 1:
+            raise InvalidInputError(f"energy count must be >= 1, got {text!r}")
+        step = (hi - lo) / (n - 1) if n > 1 else 0.0
+        energies = [lo + i * step for i in range(n)]
     if not energies:
         raise InvalidInputError(f"no energies in {text!r}")
     if not all(math.isfinite(e) for e in energies):

@@ -4,6 +4,7 @@ V(n) = coupling * symbol is worked out from a word."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,10 @@ class PotentialWindow:
 
 
 def window_from_word(word, coupling, provenance="word"):
-    """V(n) = coupling * symbol, with the word at indices 1..|word|."""
+    """V(n) = coupling * symbol, with the word at indices 1..|word|; a
+    coupling that is not finite is refused."""
+    if not math.isfinite(coupling):
+        raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     values = np.frombuffer(word.symbols, np.uint8) * float(coupling)
     return PotentialWindow(lo=1, hi=len(values), values=values, provenance=provenance)
 

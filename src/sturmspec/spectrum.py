@@ -301,8 +301,6 @@ def band_spectrum(word, coupling, level=None):
     q = len(word)
     if q < 1:
         raise InvalidInputError("empty period word")
-    if not math.isfinite(coupling):
-        raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     where = f"level {level}, q={q}" if level is not None else f"q={q}"
     _refuse_long_period(q, where)
     values = window_from_word(word, coupling).values

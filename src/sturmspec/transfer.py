@@ -70,13 +70,6 @@ class TransferState:
         return (a / s, b / s, c / s, d / s), np.log(s) + self.log_scale
 
 
-IDENTITY = TransferState(m=(1.0, 0.0, 0.0, 1.0), log_scale=0.0)
-
-
-def site_state(energy, v):
-    return TransferState(m=(energy - v, -1.0, 1.0, 0.0), log_scale=0.0)
-
-
 def multiply(left, right):
     """State product: (left * right) represents M_left M_right."""
     a1, b1, c1, d1 = left.m
@@ -92,20 +85,6 @@ def multiply(left, right):
         m=(a / s, b / s, c / s, d / s),
         log_scale=left.log_scale + right.log_scale + np.log(s),
     )
-
-
-def state_power(state, k):
-    """state^k by binary exponentiation (k >= 0)."""
-    if k < 0:
-        raise InvalidInputError("negative matrix power")
-    result = IDENTITY
-    base = state
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base) if k > 1 else base
-        k >>= 1
-    return result
 
 
 def _product_over_values(values, energy):
@@ -145,25 +124,6 @@ def transfer_product(window, energy, k, n):
     return _product_over_values(window.slice_values(k, n).tolist(), energy)
 
 
-def sturmian_tower(cf, coupling, energy, level):
-    """Transfer matrices [M(s_{-1}), M(s_0), ..., M(s_level)] over the
-    standard words, from one pass of the word recursion
-    s_n = s_{n-1}^{a_n} s_{n-2}, i.e. M(s_n) = M(s_{n-2}) M(s_{n-1})^{a_n}.
-
-    Each is equal (up to rounding) to the explicit product over the
-    spelled-out word.
-    """
-    if level < -1:
-        raise InvalidInputError("level must be >= -1")
-    if level > cf.depth:
-        raise DepthError(f"level {level} exceeds CF depth {cf.depth}")
-    tower = [site_state(energy, coupling * 1.0), site_state(energy, 0.0)]  # "1", "0"
-    for n in range(1, level + 1):
-        power = cf.coefficient(n) - (n == 1)  # s_1 = s_0^{a_1 - 1} s_{-1}
-        tower.append(multiply(tower[-2], state_power(tower[-1], power)))
-    return tower[: level + 2]
-
-
 def sturmian_traces(cf, coupling, energy, level):
     """Traces [t_{-1}, t_0, ..., t_level], t_n = tr M(s_n), from the scalar
     trace map (Kohmoto-Kadanoff-Tang, PRL 50, 1983, for the golden mean;
@@ -182,9 +142,8 @@ def sturmian_traces(cf, coupling, energy, level):
     from t_{-1} = E - coupling, t_0 = E and w_1 = (E - coupling) E - 2.
     The recursion carries scalars only, each bounded where the traces are,
     so the bounded traces on the spectrum are not lost to cancellation
-    between the large entries of the tower's matrices.  At gap energies the traces grow
-    superexponentially and overflow deep in the tower, to inf or (from
-    inf - inf) NaN.
+    between the large entries of the products M(s_n).  At gap energies the
+    traces grow superexponentially and overflow, to inf or (inf - inf) NaN.
     """
     if level < -1:
         raise InvalidInputError("level must be >= -1")

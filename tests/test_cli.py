@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -530,10 +531,24 @@ class TestRefusedRuns:
               "--energies", "from-spectrum:10"], 2, "--energies from-spectrum:10"),
             (["gordon", "--alpha-period", ":1", "--cf-depth", "10", "--level", "3",
               "--energies", "from-spectrum:10"], 2, "CF depth 10"),
+            # a coupling that is not finite is refused where V = coupling x
+            # symbol is worked out, before numpy sees it
+            (["lyapunov", "--potential", "sturmian", "--alpha-period", ":1", "--lambda", "nan",
+              "--energies", "0", "--steps", "1000"], 2, "coupling"),
+            (["lyapunov", "--potential", "sturmian", "--alpha-period", ":1", "--lambda", "inf",
+              "--energies", "0", "--steps", "1000"], 2, "coupling"),
+            # the specific message, not a bare "bad energy spec"
+            (FREE_LYAPUNOV + ["--energies", "0:1:0"], 2, "count"),
+            (FREE_LYAPUNOV + ["--energies", "0:1"], 2, "a:b:n"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
-        code, out, err = run_cli(argv, capsys)
+        # a numpy RuntimeWarning, which a console run prints to stderr, is
+        # recorded here instead
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            code, out, err = run_cli(argv, capsys)
+        assert not [w for w in caught if w.category is RuntimeWarning]
         assert code == exit_code
         assert out == ""
         lines = err.splitlines()

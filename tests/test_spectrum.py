@@ -21,7 +21,6 @@ from sturmspec import (
     periodic_window,
     standard_words,
     sturmian_band_spectrum,
-    sturmian_tower,
     trace_bound_scan,
     union_intervals,
     window_from_word,
@@ -572,16 +571,14 @@ class TestTraceBounds:
     def test_matches_direct_trace_evaluation(self, golden_cf):
         report = trace_bound_scan(golden_cf, 1.0, 5, samples_per_band=1)
         k = 5
-        direct = max(
-            abs(sturmian_tower(golden_cf, 1.0, e, k)[-1].trace())
-            for e in report.sample_energies
-        )
+        values = window_from_word(standard_words(golden_cf, k).word(k), 1.0).values.tolist()
+        direct = max(abs(_site_loop_trace(values, e)) for e in report.sample_energies)
         assert report.sup_per_level[k] == pytest.approx(direct, rel=1e-12)
 
     def test_strong_coupling_sup_stable_as_the_proxy_deepens(self, golden_cf):
-        # at lambda = 10 the matrix tower's trace at level 15 is lost to
-        # cancellation (16.09 where the exact trace is 0.10); the trace map
-        # keeps the sampled sup at t_0 = E = 11.142 for proxies 14 to 17.
+        # at lambda = 10 float matrix products over the deep s_k lose their
+        # traces to cancellation; the trace map keeps the sampled sup at
+        # t_0 = E = 11.142 for proxies 14 to 17.
         # Proxy 17 needs the level 18 spectrum (q = 4181): about 0.3 s on the
         # dsterf path, a few seconds more on the dense eigvalsh fallback
         sups = [

@@ -15,14 +15,13 @@ from sturmspec import (
     convergents,
     lyapunov_estimate,
     standard_words,
-    sturmian_tower,
     sturmian_traces,
     trace_bound_scan,
     transfer_product,
     window_from_word,
 )
 from sturmspec.errors import DepthError, InvalidInputError, WindowError
-from sturmspec.transfer import multiply, site_state, state_power
+from sturmspec.transfer import multiply
 from trajectories import iterate_solution
 
 
@@ -128,94 +127,22 @@ def test_kernel_split_law_and_float_agreement_over_random_words(symbols, cut_dra
         assert abs(log1[i] - log3) <= 1e-8 * max(1.0, abs(log1[i]))
 
 
-def _restarted_recursion(cf, coupling, energy, level):
-    """Reference: M(s_level) by the word recursion restarted from s_{-1}."""
-    prev, cur = site_state(energy, coupling * 1.0), site_state(energy, 0.0)
-    if level == -1:
-        return prev
-    for n in range(1, level + 1):
-        prev, cur = cur, multiply(prev, state_power(cur, cf.coefficient(n) - (n == 1)))
-    return cur
-
-
-def states_identical(state_a, state_b):
-    return all(
-        np.array_equal(x, y) for x, y in zip((*state_a.m, state_a.log_scale),
-                                             (*state_b.m, state_b.log_scale))
-    )
-
-
 class TestSturmianTransfer:
-    def test_tower_is_bit_identical_to_restarted_recursion(self):
-        from sturmspec import convergents
-
-        cf = convergents([2, 3, 1, 4, 2, 1, 3, 2])
-        energies = np.linspace(-3.0, 4.0, 29)
-        tower = sturmian_tower(cf, 1.5, energies, 8)
-        assert len(tower) == 10
-        for level, state in enumerate(tower, start=-1):
-            assert states_identical(state, _restarted_recursion(cf, 1.5, energies, level))
-        assert len(sturmian_tower(cf, 1.5, 0.5, -1)) == 1
-
     def test_trace_scan_sups_are_bit_identical(self, golden_cf):
         # the scan's one array pass gives the per-energy trace map's sups bit
-        # for bit, and the tower's to rounding where the tower is accurate
+        # for bit, and the site loop's over the spelled-out s_k to rounding
+        # where the site loop is accurate
         report = trace_bound_scan(golden_cf, 1.0, 9, proxy_level=7)
         per_energy = [sturmian_traces(golden_cf, 1.0, e, 9) for e in report.sample_energies]
         assert report.sup_per_level == tuple(
             max(abs(traces[k + 1]) for traces in per_energy) for k in range(10)
         )
         energies = np.asarray(report.sample_energies)
+        tower = standard_words(golden_cf, 9)
         for k, sup in enumerate(report.sup_per_level):
-            tower_sup = np.max(abs(_restarted_recursion(golden_cf, 1.0, energies, k).trace()))
-            assert sup == pytest.approx(tower_sup, rel=1e-10)
-
-    def test_level_two_matches_word_ten(self, golden_cf):
-        state = sturmian_tower(golden_cf, 1.0, 0.0, 2)[-1]
-        assert state.trace() == pytest.approx(-2.0, abs=1e-12)
-
-    def test_level_zero_trace_is_energy(self, golden_cf):
-        for energy in (-1.5, 0.0, 2.25):
-            assert sturmian_tower(golden_cf, 1.0, energy, 0)[-1].trace() == energy
-
-    def test_level_minus_one(self, golden_cf):
-        assert sturmian_tower(golden_cf, 1.0, 2.0, -1)[-1].trace() == 1.0
-
-    def test_recursion_equals_explicit_product(self, golden_cf):
-        from sturmspec import standard_words
-
-        rng = random.Random(13)
-        tower = standard_words(golden_cf, 12)
-        for level in range(1, 13):
-            word = tower.word(level)
-            window = window_from_word(word, 1.0)
-            for _ in range(3):
-                energy = rng.uniform(-3, 3)
-                direct = transfer_product(window, energy, 1, len(word))
-                recursive = sturmian_tower(golden_cf, 1.0, energy, level)[-1]
-                assert matrices_close(direct, recursive, 1e-8)
-
-    def test_recursion_general_cf(self):
-        from sturmspec import convergents, standard_words
-
-        cf = convergents([2, 3, 1, 4, 2, 1, 3, 2])
-        tower = standard_words(cf, 8)
-        rng = random.Random(1)
-        for level in range(1, 9):
-            word = tower.word(level)
-            window = window_from_word(word, 1.5)
-            energy = rng.uniform(-3, 3)
-            direct = transfer_product(window, energy, 1, len(word))
-            recursive = sturmian_tower(cf, 1.5, energy, level)[-1]
-            assert matrices_close(direct, recursive, 1e-8)
-
-    def test_power_identity(self):
-        state = site_state(0.7, 1.0)
-        by_power = state_power(state, 5)
-        by_hand = state
-        for _ in range(4):
-            by_hand = multiply(by_hand, state)
-        assert matrices_close(by_power, by_hand, 1e-12)
+            window = window_from_word(tower.word(k), 1.0)
+            site_loop = transfer_product(window, energies, 1, len(window)).trace()
+            assert sup == pytest.approx(np.max(abs(site_loop)), rel=1e-10)
 
 
 class TestTraceMap:
@@ -224,6 +151,10 @@ class TestTraceMap:
         # and s_2 = "10": t_2 = (E - lambda) E - 2
         assert sturmian_traces(golden_cf, 1.5, 2.0, 2) == [0.5, 2.0, 0.5, -1.0]
         assert sturmian_traces(golden_cf, 1.5, 2.0, -1) == [0.5]
+        assert sturmian_traces(golden_cf, 1.0, 2.0, -1) == [1.0]
+        for energy in (-1.5, 0.0, 2.25):
+            assert sturmian_traces(golden_cf, 1.0, energy, 0)[-1] == energy
+        assert sturmian_traces(golden_cf, 1.0, 0.0, 2)[-1] == pytest.approx(-2.0, abs=1e-12)
 
     def test_level_checks(self, golden_cf):
         with pytest.raises(InvalidInputError):
