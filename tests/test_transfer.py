@@ -144,6 +144,16 @@ class TestSturmianTransfer:
             site_loop = transfer_product(window, energies, 1, len(window)).trace()
             assert sup == pytest.approx(np.max(abs(site_loop)), rel=1e-10)
 
+    def test_level_two_matches_word_ten(self, golden_cf):
+        assert sturmian_traces(golden_cf, 1.0, 0.0, 2)[-1] == pytest.approx(-2.0, abs=1e-12)
+
+    def test_level_zero_trace_is_energy(self, golden_cf):
+        for energy in (-1.5, 0.0, 2.25):
+            assert sturmian_traces(golden_cf, 1.0, energy, 0)[-1] == energy
+
+    def test_level_minus_one(self, golden_cf):
+        assert sturmian_traces(golden_cf, 1.0, 2.0, -1) == [1.0]
+
 
 class TestTraceMap:
     def test_first_traces_by_hand(self, golden_cf):
@@ -151,10 +161,6 @@ class TestTraceMap:
         # and s_2 = "10": t_2 = (E - lambda) E - 2
         assert sturmian_traces(golden_cf, 1.5, 2.0, 2) == [0.5, 2.0, 0.5, -1.0]
         assert sturmian_traces(golden_cf, 1.5, 2.0, -1) == [0.5]
-        assert sturmian_traces(golden_cf, 1.0, 2.0, -1) == [1.0]
-        for energy in (-1.5, 0.0, 2.25):
-            assert sturmian_traces(golden_cf, 1.0, energy, 0)[-1] == energy
-        assert sturmian_traces(golden_cf, 1.0, 0.0, 2)[-1] == pytest.approx(-2.0, abs=1e-12)
 
     def test_level_checks(self, golden_cf):
         with pytest.raises(InvalidInputError):
