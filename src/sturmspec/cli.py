@@ -238,7 +238,7 @@ def _task_spectrum(args):
                 "band_count": spec.band_count,
                 "measure": spec.measure,
                 "measure_intersect_prev": inter,
-                "bands": [[lo, hi] for lo, hi in spec.bands],
+                "bands": spec.bands,
             }
         )
         prev = spec
@@ -474,7 +474,8 @@ def emit_report(report, fmt):
 
 
 @functools.cache  # main() runs many times per process in batch use
-def build_parser():
+def _parsers():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="sturmspec",
         description="Sturmian/substitution operator numerics: words, spectra, "
@@ -541,12 +542,32 @@ def build_parser():
     p.add_argument("--L", dest="factor_length", type=int, default=10)
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--prefix", type=int, default=10000)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser():
+    """The top-level parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, in one argparse pass when argv
+    starts with a subcommand name: the top-level pass would only hand the
+    rest of argv to that subcommand's parser.  Leftover tokens get the
+    top-level refusal that parse_args gives."""
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in subparsers:
+        return parser.parse_args(argv)
+    args, extra = subparsers[argv[0]].parse_known_args(argv[1:], argparse.Namespace(task=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return args
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     # before Python 3.13, argparse parses the option value "--" as []
     if [] in vars(args).values():
         parser.error("an option value cannot be '--'")

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,31 @@ def parse_refusal(argv, capsys):
         main(argv)
     out, err = capsys.readouterr()
     return refused.value.code, out, err
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, refused by argparse or not."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as refused:
+            code = refused.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_both_parses(argv):
+    """``run_captured(argv)``, checked against the same run with ``main``
+    sent through ``build_parser().parse_args``: ``main`` parses an argv that
+    starts with a subcommand name with that subcommand's parser alone, and
+    must give the same exit code, stdout apart from the wall time, and
+    stderr as the two-level parse."""
+    run = run_captured(argv)
+    with mock.patch.object(cli, "_parse_args", lambda argv: build_parser().parse_args(argv)):
+        forced = run_captured(argv)
+    assert forced[0::2] == run[0::2]
+    assert _without_wall_time(forced[1]) == _without_wall_time(run[1])
+    return run
 
 
 class TestWordTask:
@@ -554,6 +580,112 @@ class TestRefusedRuns:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert needle in lines[0]
+        run_both_parses(argv)
+
+
+# A valid argv per subcommand, as option -> value
+VALID_OPTIONS = {
+    "word": {"--alpha-period": ":1", "--length": "8"},
+    "spectrum": {"--alpha-period": ":1", "--levels": "3"},
+    "lyapunov": {"--alpha-period": ":1", "--energies": "0", "--steps": "1000"},
+    "gordon": {"--alpha-period": ":1", "--level": "3", "--energies": "0", "--seeds": "2"},
+    "hull-check": {"--alpha-period": ":1", "--beta": "1/4", "--L": "4", "--prefix": "100"},
+    "appendix": {"--alpha-period": ":1", "--beta": "1/4", "--range-n": "50",
+                 "--theta-samples": "2", "--L": "3", "--prefix": "100"},
+}
+# (subcommand, option, malformed value, fragment of the error line, options
+# set, or dropped with None, so that the option is read) for each subcommand
+# option that no other test feeds a malformed value
+MALFORMED_OPTIONS = [
+    ("word", "--alpha-cf", "1,a", "'a'", {"--alpha-period": None}),
+    ("word", "--alpha-period", "1:", "periodic part", {}),
+    ("word", "--cf-depth", "0", "depth", {}),
+    ("word", "--out", "/nonexistent/x", "/nonexistent/x", {}),
+    ("word", "--format", "xml", "--format", {}),
+    ("word", "--subst", "a:,b:a", "empty", {"--alpha-period": None}),
+    ("word", "--tower", "-1", "tower level", {"--length": None}),
+    ("word", "--length", "-5", "length", {}),
+    ("spectrum", "--alpha-period", "1:", "periodic part", {}),
+    ("spectrum", "--cf-depth", "0", "depth", {}),
+    ("spectrum", "--format", "xml", "--format", {}),
+    ("lyapunov", "--alpha-cf", "1,a", "'a'", {"--alpha-period": None}),
+    ("lyapunov", "--alpha-period", "1:", "periodic part", {}),
+    ("lyapunov", "--cf-depth", "0", "depth", {}),
+    ("lyapunov", "--out", "/nonexistent/x", "/nonexistent/x", {}),
+    ("lyapunov", "--beta", "1/0", "beta", {"--potential": "circle"}),
+    ("lyapunov", "--precision", "-1", "guard", {"--potential": "circle", "--beta": "1/4"}),
+    ("lyapunov", "--format", "xml", "--format", {}),
+    ("lyapunov", "--potential", "bogus", "--potential", {}),
+    ("gordon", "--alpha-cf", "1,a", "'a'", {"--alpha-period": None}),
+    ("gordon", "--alpha-period", "1:", "periodic part", {}),
+    ("gordon", "--cf-depth", "0", "depth", {}),
+    ("gordon", "--out", "/nonexistent/x", "/nonexistent/x", {}),
+    ("gordon", "--lambda", "nan", "coupling", {}),
+    ("gordon", "--level", "-1", "level", {}),
+    ("gordon", "--rng-seed", "x", "--rng-seed", {}),
+    ("hull-check", "--alpha-cf", "1,a", "'a'", {"--alpha-period": None}),
+    ("hull-check", "--alpha-period", "1:", "periodic part", {}),
+    ("hull-check", "--cf-depth", "0", "depth", {}),
+    ("hull-check", "--out", "/nonexistent/x", "/nonexistent/x", {}),
+    ("hull-check", "--precision", "-1", "guard", {}),
+    ("hull-check", "--grid", "0", "grid", {}),
+    ("hull-check", "--prefix", "0", "prefix", {}),
+    ("appendix", "--alpha-cf", "1,a", "'a'", {"--alpha-period": None}),
+    ("appendix", "--alpha-period", "1:", "periodic part", {}),
+    ("appendix", "--cf-depth", "0", "depth", {}),
+    ("appendix", "--out", "/nonexistent/x", "/nonexistent/x", {}),
+    ("appendix", "--beta", "1/0", "beta", {}),
+    ("appendix", "--rng-seed", "x", "--rng-seed", {}),
+    ("appendix", "--L", "0", "factor length", {}),
+    ("appendix", "--grid", "0", "grid", {}),
+    ("appendix", "--prefix", "0", "prefix", {}),
+]
+
+
+@pytest.mark.parametrize(
+    "task, flag, value, needle, changes",
+    MALFORMED_OPTIONS,
+    ids=[f"{task}{flag}" for task, flag, *_ in MALFORMED_OPTIONS],
+)
+def test_malformed_option_value_exits_two(task, flag, value, needle, changes):
+    options = {**VALID_OPTIONS[task], **changes, flag: value}
+    argv = [task] + [f"{k}={v}" for k, v in options.items() if v is not None]
+    code, out, err = run_captured(argv)
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert needle in line
+
+
+GOLDEN_LEVEL_1 = ["spectrum", "--alpha-period", ":1", "--levels", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["bogus"], ["--help", "spectrum"], ["spectrum"], ["spectrum", "-h"],
+        GOLDEN_LEVEL_1 + ["extra"],
+        GOLDEN_LEVEL_1 + ["extra", "-x", "--y=1"],
+        GOLDEN_LEVEL_1 + ["--bogus", "3"],
+        ["spectrum", "--alpha-period", ":1", "--lev", "3"],
+        GOLDEN_LEVEL_1 + ["--", "3"],
+        ["spectrum", "--", "--alpha-period", ":1", "--levels", "1"],
+        ["spectrum", "--alpha-period", ":1", "--levels", "--"],
+        ["spectrum", "--alpha-period", ":1", "--levels=--"],
+        ["word", "--alpha-cf", "1,2,1x10", "--alpha-period", ":1", "--length", "8"],
+    ],
+)
+def test_subcommand_parse_matches_top_level_parse(argv):
+    run_both_parses(argv)
+
+
+def test_argv_none_reads_sys_argv(monkeypatch):
+    # the console script calls main() with no argv
+    for argv in (GOLDEN_LEVEL_1, GOLDEN_LEVEL_1 + ["extra"], []):
+        monkeypatch.setattr("sys.argv", ["sturmspec"] + argv)
+        run, listed = run_captured(None), run_captured(argv)
+        assert run[0::2] == listed[0::2]
+        assert _without_wall_time(run[1]) == _without_wall_time(listed[1])
 
 
 def test_cf_spec_parsed_once_per_process(monkeypatch, capsys):
@@ -741,22 +873,18 @@ def gordon_argv(draw):
 
 
 def _assert_exit_contract(argv):
-    """One report and exit 0, or one error line and a documented code."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as refused:  # argparse rejects the option value
-            code = refused.code
+    """One report and exit 0, or one error line and a documented code; and
+    the same run as through the two-level parse."""
+    code, out, err = run_both_parses(argv)
     assert code in (0, 2, 3, 4)
     if code == 0 and "--format=csv" in argv:
-        assert out.getvalue().splitlines()[0] == ",".join(CSV_HEADERS[argv[0]])
+        assert out.splitlines()[0] == ",".join(CSV_HEADERS[argv[0]])
     elif code == 0:
-        assert json.loads(out.getvalue())["task"] == argv[0]
+        assert json.loads(out)["task"] == argv[0]
     else:
-        assert out.getvalue() == ""
-        assert "Traceback" not in err.getvalue()
-        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        assert out == ""
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -895,7 +1023,7 @@ class TestReportPlumbing:
         ):
             code, out, _ = run_cli(argv, capsys)
             assert code == 0
-            fresh = run_experiment(build_parser.__wrapped__().parse_args(argv))
+            fresh = run_experiment(cli._parsers.__wrapped__()[0].parse_args(argv))
             report = json.loads(out)
             report.pop("wall_time_s"), fresh.pop("wall_time_s")
             assert report == json.loads(emit_report(fresh, "json"))
