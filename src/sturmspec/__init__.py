@@ -32,8 +32,8 @@ from .spectrum import (
     band_samples,
     band_spectrum,
     intersect_intervals,
+    intersection_measure,
     interval_measure,
-    measure_and_intersect,
     sturmian_band_spectrum,
     trace_bound_scan,
     union_intervals,

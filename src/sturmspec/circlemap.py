@@ -139,15 +139,10 @@ def _orbit_bits(params, theta, lo, hi, flipped=False, mark_ambiguous=False):
     return _code_orbits(params, denom, start, lo, hi - lo + 1, flipped, mark_ambiguous)
 
 
-def _window(params, bits, lo, hi, provenance):
-    values = bits * float(params.coupling)
-    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)
-
-
 def circle_potential_window(params, theta, lo, hi):
     """V(n) = coupling * [alpha n + theta mod 1 in [1-beta, 1)] on [lo, hi]."""
     bits = _orbit_bits(params, theta, lo, hi)
-    return _window(params, bits, lo, hi, f"circle theta={Fraction(theta)}")
+    return PotentialWindow(lo=lo, hi=hi, values=bits * float(params.coupling))
 
 
 def boundary_limit_window(params, which, lo, hi):
@@ -161,7 +156,7 @@ def boundary_limit_window(params, which, lo, hi):
     if theta is None:
         raise InvalidInputError(f"unknown boundary {which!r}")
     bits = _orbit_bits(params, theta, lo, hi, flipped=True)
-    return _window(params, bits, lo, hi, f"boundary-limit {which}")
+    return PotentialWindow(lo=lo, hi=hi, values=bits * float(params.coupling))
 
 
 def discontinuity_indices(params, theta, range_n):

@@ -36,7 +36,7 @@ from .potentials import constant_window, window_from_word
 from .spectrum import (
     TRACE_BOUND_HEADROOM,
     band_samples,
-    measure_and_intersect,
+    intersection_measure,
     sturmian_band_spectrum,
     trace_bound_scan,
 )
@@ -81,6 +81,23 @@ def _value(args, name):
 # arithmetic carries its N digits.  A spelled-out decimal reaches no further:
 # Python refuses integer strings longer than 4300 digits by default.
 MAX_DECIMAL_EXPONENT = 4300
+
+
+# Longest tower word s_n that ``gordon --level`` and ``word --tower`` spell.
+# The gordon square s_n s_n then has at most 1e6 sites, the length of the
+# longest window the lyapunov op of the benchmark walks; golden level 27
+# (q = 317 811) is the deepest that passes.
+MAX_TOWER_LENGTH = 500_000
+
+
+def _refuse_long_tower(cf, option, level):
+    """Exit 2 when q_level exceeds MAX_TOWER_LENGTH, before any tower word
+    is spelled; levels outside 0..depth are refused where the tower is built."""
+    if 0 <= level <= cf.depth and cf.q[level] > MAX_TOWER_LENGTH:
+        raise InvalidInputError(
+            f"{option} {level}: q_{level} = {cf.q[level]} exceeds the tower limit "
+            f"of {MAX_TOWER_LENGTH} symbols"
+        )
 
 
 def _parse_fraction(text, name):
@@ -196,6 +213,7 @@ def _task_word(args):
         raise InvalidInputError("--length does not apply to --tower")
     if args.tower is not None:
         cf = _resolve_cf(args)
+        _refuse_long_tower(cf, "--tower", args.tower)
         tower = standard_words(cf, args.tower)
         return {
             "tower": [tower.word(n).to_text() for n in range(-1, args.tower + 1)],
@@ -230,7 +248,7 @@ def _task_spectrum(args):
     prev = None
     for level in levels:
         spec = sturmian_band_spectrum(cf, coupling, level)
-        inter = measure_and_intersect(prev, spec).measure_intersection if prev else None
+        inter = intersection_measure(prev, spec) if prev else None
         rows.append(
             {
                 "level": level,
@@ -312,11 +330,12 @@ def _task_gordon(args):
     else:
         energies = _parse_energies(args.energies)
         proxy = max(level, 8)
+    _refuse_long_tower(cf, "--level", level)
     # the scan refuses a proxy period above MAX_PERIOD before the square is spelled out
     scan = trace_bound_scan(cf, coupling, level_max=proxy, proxy_level=proxy)
     s_n = standard_words(cf, level).word(level)
     q_n = cf.q[level]
-    window = window_from_word(s_n + s_n, coupling, provenance=f"square s_{level}^2")
+    window = window_from_word(s_n + s_n, coupling)
     if energies is None:
         energies = band_samples(scan.proxy_bands, 1)
     c_bound = scan.derived_constant()

@@ -14,15 +14,13 @@ from .errors import InvalidInputError, WindowError
 
 @dataclass(frozen=True)
 class PotentialWindow:
-    """Real potential values on the integer range [lo, hi], with a
-    provenance tag recording how the slice was produced.  ``values`` is a
+    """Real potential values on the integer range [lo, hi].  ``values`` is a
     read-only float64 copy of the array, tuple or list given, so it shares
     no writeable buffer with the caller."""
 
     lo: int
     hi: int
     values: np.ndarray
-    provenance: str = "values"
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
@@ -51,23 +49,23 @@ class PotentialWindow:
         return self.values[k - self.lo : n - self.lo + 1]
 
 
-def window_from_word(word, coupling, provenance="word"):
+def window_from_word(word, coupling):
     """V(n) = coupling * symbol, with the word at indices 1..|word|; a
     coupling that is not finite is refused."""
     if not math.isfinite(coupling):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     values = np.frombuffer(word.symbols, np.uint8) * float(coupling)
-    return PotentialWindow(lo=1, hi=len(values), values=values, provenance=provenance)
+    return PotentialWindow(lo=1, hi=len(values), values=values)
 
 
-def constant_window(value, lo, hi, provenance="constant"):
+def constant_window(value, lo, hi):
     if lo > hi:
         raise InvalidInputError("lo > hi")
     values = np.full(hi - lo + 1, float(value))
-    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)
+    return PotentialWindow(lo=lo, hi=hi, values=values)
 
 
-def periodic_window(word, coupling, lo, hi, provenance="periodic word"):
+def periodic_window(word, coupling, lo, hi):
     """Two-sided periodic extension with period |word|; the word occupies
     indices 1..|word| and repeats in both directions."""
     if lo > hi:
@@ -76,4 +74,4 @@ def periodic_window(word, coupling, lo, hi, provenance="periodic word"):
     if q == 0:
         raise InvalidInputError("empty period word")
     values = window_from_word(word, coupling).values[np.arange(lo - 1, hi) % q]
-    return PotentialWindow(lo=lo, hi=hi, values=values, provenance=provenance)
+    return PotentialWindow(lo=lo, hi=hi, values=values)

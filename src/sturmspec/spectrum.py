@@ -353,25 +353,12 @@ def interval_measure(intervals):
     return sum(hi - lo for lo, hi in intervals)
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
-    measure_a: float
-    measure_b: float
-    intersection: tuple[tuple[float, float], ...]
-    measure_intersection: float
-
-
-def measure_and_intersect(a, b):
-    """Measures of two band spectra and of their intersection."""
+def intersection_measure(a, b):
+    """Lebesgue measure of the intersection of two band spectra computed at
+    the same coupling."""
     if a.coupling != b.coupling:
         raise InvalidInputError("band spectra computed at different couplings")
-    inter = intersect_intervals(a.bands, b.bands)
-    return IntersectionReport(
-        measure_a=a.measure,
-        measure_b=b.measure,
-        intersection=tuple(inter),
-        measure_intersection=interval_measure(inter),
-    )
+    return interval_measure(intersect_intervals(a.bands, b.bands))
 
 
 def band_samples(intervals, per_band=3):
@@ -467,7 +454,7 @@ class ZeroLyapunovReport:
     in_spectrum: tuple[tuple[float, float], ...]  # (E, gamma+)
     max_gamma_in_spectrum: float
     gap_controls: tuple[tuple[float, float, float], ...]  # (E, gap width, gamma+)
-    min_gamma_gap_controls: float
+    min_gamma_controls: float
     free_gamma: float
 
 
@@ -506,6 +493,6 @@ def zero_lyapunov_check(cf, coupling, level, steps):
         in_spectrum=in_part,
         max_gamma_in_spectrum=max(g for _, g in in_part),
         gap_controls=gap_part,
-        min_gamma_gap_controls=min((g for _, _, g in gap_part), default=float("nan")),
+        min_gamma_controls=min((g for _, _, g in gap_part), default=float("nan")),
         free_gamma=free_gamma,
     )

@@ -50,7 +50,6 @@ class GordonCertificate:
     nondecay_ok: np.ndarray
     seeds_tested: int
     verdict: bool
-    provenance: str
 
 
 def _apply(state, u0, u1, rows=slice(None)):
@@ -141,7 +140,6 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
         nondecay_ok=min_ratio >= lower_bound - 1e-9,
         seeds_tested=len(seeds),
         verdict=bool(certified.all()),
-        provenance=window.provenance,
     )
 
 

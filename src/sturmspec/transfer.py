@@ -169,20 +169,14 @@ class LyapunovEstimate:
     """Finite-step slope estimates of (1/n) log ||M||.
 
     Forward and backward existence-and-agreement has no finite-scale
-    certificate, so the gap between the two estimates is exposed only as a
-    diagnostic.
+    certificate, so the two estimates are reported side by side, each None
+    where the window does not cover its side.
     """
 
     energy: float  # or an array of energies, with gammas aligned to it
     steps: int
     gamma_plus: float | None
     gamma_minus: float | None
-
-    @property
-    def gamma_gap(self):
-        if self.gamma_plus is None or self.gamma_minus is None:
-            return None
-        return abs(self.gamma_plus - self.gamma_minus)
 
 
 def lyapunov_estimate(window, energy, steps):

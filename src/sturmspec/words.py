@@ -89,9 +89,6 @@ class Word:
             raise InvalidInputError("negative word exponent")
         return Word(self.symbols * k, self.alphabet_size)
 
-    def is_prefix_of(self, other):
-        return other.symbols.startswith(self.symbols)
-
     def occurrences(self, target):
         """Start positions of all (overlapping) occurrences of ``target``."""
         if len(target) == 0:
@@ -123,28 +120,6 @@ class Substitution:
     def alphabet_size(self):
         return len(self.images)
 
-    def primitivity_power(self):
-        """Smallest k with every symbol present in every S^k(a), or None.
-
-        The search stops at the Wielandt bound (s-1)^2 + 1, past which no
-        primitive exponent can first appear.
-        """
-        s = self.alphabet_size
-        full = frozenset(range(s))
-        reach = [frozenset(self.images[a].symbols) for a in range(s)]
-        for k in range(1, (s - 1) ** 2 + 2):
-            if all(r == full for r in reach):
-                return k
-            reach = [
-                frozenset(sym for b in r for sym in self.images[b].symbols)
-                for r in reach
-            ]
-        return None
-
-    @property
-    def is_primitive(self):
-        return self.primitivity_power() is not None
-
 
 def parse_substitution(text):
     """Parse ``"a:ab,b:a"`` into a Substitution plus its display letters.
@@ -169,27 +144,23 @@ def parse_substitution(text):
     return Substitution(images), letters
 
 
-def substitute(subst, word, power=1):
-    """Apply S ``power`` times to ``word``; S(uv) = S(u)S(v).
+def substitute(subst, word):
+    """Apply S to ``word``; S(uv) = S(u)S(v).
 
-    Each application is one gather of the symbols' rows from a (letters x
-    longest image) table of the images, padded at the end; when the image
-    lengths differ, a mask of the same shape drops the padding."""
-    if power < 1:
-        raise InvalidInputError("power must be >= 1")
+    The image is one gather of the symbols' rows from a (letters x longest
+    image) table of the images, padded at the end; when the image lengths
+    differ, a mask of the same shape drops the padding."""
     if word.alphabet_size != subst.alphabet_size:
         raise InvalidWordError("word alphabet does not match substitution")
     lengths = np.array([len(img) for img in subst.images])
     width = int(lengths.max())
     padded = b"".join(img.symbols.ljust(width, b"\0") for img in subst.images)
     table = np.frombuffer(padded, np.uint8).reshape(-1, width)
-    keep = np.arange(width) < lengths[:, None] if lengths.min() < width else None
-    syms = word.symbols
-    for _ in range(power):
-        codes = np.frombuffer(syms, np.uint8)
-        rows = table.take(codes, axis=0)
-        syms = (rows if keep is None else rows[keep.take(codes, axis=0)]).tobytes()
-    return Word(syms, subst.alphabet_size)
+    codes = np.frombuffer(word.symbols, np.uint8)
+    rows = table.take(codes, axis=0)
+    if lengths.min() < width:
+        rows = rows[(np.arange(width) < lengths[:, None]).take(codes, axis=0)]
+    return Word(rows.tobytes(), subst.alphabet_size)
 
 
 def fixed_point_prefix(subst, seed, min_length):

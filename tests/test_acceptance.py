@@ -22,7 +22,7 @@ from sturmspec import (
     discontinuity_indices,
     gordon_certificate,
     hull_factor_comparison,
-    measure_and_intersect,
+    intersection_measure,
     periodic_coefficients,
     periodic_window,
     stability_measure_bound,
@@ -96,10 +96,7 @@ def test_criterion_04_band_integrity(golden_cf, fib_spectra):
 def test_criterion_05_shrinking_intersection_measures(golden_cf):
     start = time.perf_counter()
     specs = {n: sturmian_band_spectrum(golden_cf, 1.0, n) for n in range(1, 12)}
-    measures = {
-        n: measure_and_intersect(specs[n], specs[n + 1]).measure_intersection
-        for n in range(1, 11)
-    }
+    measures = {n: intersection_measure(specs[n], specs[n + 1]) for n in range(1, 11)}
     ok = all(measures[n + 1] <= measures[n] + 1e-8 for n in range(1, 10))
     ok = ok and measures[10] < 0.5 * measures[2]
     ok = ok and (time.perf_counter() - start) < 120.0
@@ -119,7 +116,7 @@ def test_criterion_07_zero_exponent_on_spectrum(golden_cf):
     start = time.perf_counter()
     report = zero_lyapunov_check(golden_cf, 1.0, 8, 10**5)
     ok = report.max_gamma_in_spectrum <= 0.02
-    ok = ok and report.min_gamma_gap_controls >= 0.05
+    ok = ok and report.min_gamma_controls >= 0.05
     ok = ok and abs(report.free_gamma) <= 0.01
     ok = ok and (time.perf_counter() - start) < 120.0
     announce(7, "exponent vanishes on spectrum, positive in gaps", ok)

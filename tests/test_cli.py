@@ -91,6 +91,23 @@ class TestWordTask:
         assert code == 0
         assert out.splitlines()[1] == "abbabaab"
 
+    def test_tower_limit(self, monkeypatch, capsys):
+        # golden q_27 = 317811 is the deepest level within MAX_TOWER_LENGTH
+        code, out, _ = run_cli(["word", "--alpha-period", ":1", "--tower", "27"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["q"][-1] == 317811 == len(report["tower"][-1])
+
+        def spelled_out(*args, **kwargs):
+            raise AssertionError("tower spelled before the refusal")
+
+        monkeypatch.setattr(cli, "standard_words", spelled_out)
+        for argv in (["word", "--alpha-period", ":1", "--tower", "28"],
+                     ["gordon", "--alpha-period", ":1", "--level", "28"]):
+            code, out, err = run_cli(argv, capsys)
+            assert code == 2 and out == ""
+            assert "tower limit" in err
+
     def test_unknown_model(self, capsys):
         code, out, err = parse_refusal(["word", "--model", "nope", "--length", "4"], capsys)
         assert code == 2 and out == ""
@@ -566,6 +583,16 @@ class TestRefusedRuns:
             # the specific message, not a bare "bad energy spec"
             (FREE_LYAPUNOV + ["--energies", "0:1:0"], 2, "count"),
             (FREE_LYAPUNOV + ["--energies", "0:1"], 2, "a:b:n"),
+            # a tower word longer than MAX_TOWER_LENGTH is refused before it
+            # is spelled: golden q_28 = 514229, q_39 = 102334155
+            (["gordon", "--alpha-period", ":1", "--level", "28"],
+             2, "--level 28: q_28 = 514229 exceeds the tower limit of 500000"),
+            (["gordon", "--alpha-period", ":1", "--level", "39"], 2, "q_39 = 102334155"),
+            (["gordon", "--alpha-period", ":1", "--level", "28", "--energies", "0"],
+             2, "--level 28"),
+            (["word", "--alpha-period", ":1", "--tower", "28"],
+             2, "--tower 28: q_28 = 514229 exceeds the tower limit of 500000"),
+            (["word", "--alpha-period", ":1", "--tower", "40"], 2, "q_40 = 165580141"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

@@ -15,9 +15,9 @@ from sturmspec import (
     band_spectrum,
     convergents,
     intersect_intervals,
+    intersection_measure,
     interval_measure,
     lyapunov_estimate,
-    measure_and_intersect,
     periodic_window,
     standard_words,
     sturmian_band_spectrum,
@@ -485,24 +485,23 @@ class TestIntervalArithmetic:
     def test_intersection_by_hand(self):
         spec_a = band_spectrum(Word.from_text("1"), 1.0)
         spec_b = band_spectrum(Word.from_text("10"), 1.0)
-        rep = measure_and_intersect(spec_a, spec_b)
+        measure = intersection_measure(spec_a, spec_b)
         # [-1, 3] meets [(1-s)/2, 0] u [1, (1+s)/2] in [-1, 0] u [1, (1+s)/2]
         s17 = math.sqrt(17.0)
         expected = 1.0 + (1 + s17) / 2 - 1.0
-        assert rep.measure_intersection == pytest.approx(expected, abs=1e-8)
-        assert rep.measure_intersection < min(rep.measure_a, rep.measure_b)
+        assert measure == pytest.approx(expected, abs=1e-8)
+        assert measure < min(spec_a.measure, spec_b.measure)
 
     def test_self_intersection(self, fib_spectra):
         spec = fib_spectra[5]
-        rep = measure_and_intersect(spec, spec)
-        assert rep.intersection == spec.bands
-        assert rep.measure_intersection == pytest.approx(spec.measure, abs=1e-12)
+        assert tuple(intersect_intervals(spec.bands, spec.bands)) == spec.bands
+        assert intersection_measure(spec, spec) == pytest.approx(spec.measure, abs=1e-12)
 
     def test_coupling_mismatch(self):
         a = band_spectrum(Word.from_text("1"), 1.0)
         b = band_spectrum(Word.from_text("1"), 2.0)
         with pytest.raises(InvalidInputError):
-            measure_and_intersect(a, b)
+            intersection_measure(a, b)
 
     def test_union_merges(self):
         u = union_intervals([(0.0, 1.0), (2.0, 3.0)], [(0.5, 2.5)])
@@ -522,19 +521,19 @@ class TestMonotoneProxy:
     def test_intersection_measures_non_increasing(self, fib_spectra):
         prev = None
         for n in range(1, 11):
-            rep = measure_and_intersect(fib_spectra[n], fib_spectra[n + 1])
+            measure = intersection_measure(fib_spectra[n], fib_spectra[n + 1])
             if prev is not None:
-                assert rep.measure_intersection <= prev + 1e-8
-            prev = rep.measure_intersection
+                assert measure <= prev + 1e-8
+            prev = measure
 
     def test_lambda_two_trend(self, golden_cf):
         specs = {n: sturmian_band_spectrum(golden_cf, 2.0, n) for n in range(1, 8)}
         prev = None
         for n in range(1, 7):
-            rep = measure_and_intersect(specs[n], specs[n + 1])
+            measure = intersection_measure(specs[n], specs[n + 1])
             if prev is not None:
-                assert rep.measure_intersection <= prev + 1e-8
-            prev = rep.measure_intersection
+                assert measure <= prev + 1e-8
+            prev = measure
 
 
 class TestTraceBounds:
@@ -596,7 +595,7 @@ class TestTraceBounds:
 class TestZeroLyapunov:
     def test_separation_at_modest_scale(self, golden_cf):
         report = zero_lyapunov_check(golden_cf, 1.0, 5, 5000)
-        assert report.max_gamma_in_spectrum < report.min_gamma_gap_controls
+        assert report.max_gamma_in_spectrum < report.min_gamma_controls
         assert report.free_gamma == pytest.approx(0.0, abs=1e-12)
 
     def test_word_ten_gap_control(self):

@@ -80,7 +80,7 @@ def trace_constant(golden_cf):
 @pytest.fixture(scope="module")
 def s4_square_window(golden_cf):
     s4 = standard_words(golden_cf, 4).word(4)
-    return window_from_word(s4 + s4, 1.0, provenance="square s_4^2")
+    return window_from_word(s4 + s4, 1.0)
 
 
 def assert_not_certified(cert, i):
@@ -307,7 +307,7 @@ class TestNondecay:
 
     def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
         s12 = standard_words(golden_cf, 12).word(12)
-        window = window_from_word(s12 + s12, 1.0, provenance="square s_12^2")
+        window = window_from_word(s12 + s12, 1.0)
         rng = random.Random(32)
         seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
         energies = np.array(proxy_energies[:50])
@@ -346,7 +346,6 @@ class TestNondecay:
             assert type(value) is float
         assert type(cert.verdict) is bool and type(cert.square_ok) is bool
         assert cert.lower_bound == 1.0 / (trace_constant + 1.0)
-        assert cert.provenance == "square s_4^2"
 
     def test_energy_over_bound_named(self):
         # block "01": tr = E^2 - E - 2, so |tr| = 0, 4, 10 at E = 2, 3, 4

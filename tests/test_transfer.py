@@ -269,7 +269,7 @@ class TestLyapunov:
         est = lyapunov_estimate(window, 0.0, 10**4)
         assert abs(est.gamma_plus) <= 1e-2
         assert abs(est.gamma_minus) <= 1e-2
-        assert est.gamma_gap <= 1e-12
+        assert abs(est.gamma_plus - est.gamma_minus) <= 1e-12
 
     def test_free_hyperbolic_matches_eigenvalue(self):
         window = constant_window(0.0, -(10**5), 10**5)
@@ -289,7 +289,6 @@ class TestLyapunov:
         est = lyapunov_estimate(window, 0.0, 2000)
         assert est.gamma_plus is not None
         assert est.gamma_minus is None
-        assert est.gamma_gap is None
 
     def test_step_floor(self):
         with pytest.raises(InvalidInputError):

@@ -34,15 +34,15 @@ PD, _ = parse_substitution(SUBSTITUTION_TABLE["period-doubling"])
 
 class TestSubstitute:
     def test_fibonacci_square(self):
-        out = substitute(FIB, w("a", "ab"), power=2)
+        out = substitute(FIB, substitute(FIB, w("a", "ab")))
         assert out.to_text("ab") == "aba"
 
     def test_thue_morse_square(self):
-        assert substitute(TM, w("a", "ab"), power=2).to_text("ab") == "abba"
+        assert substitute(TM, substitute(TM, w("a", "ab"))).to_text("ab") == "abba"
 
     def test_prefix_stable_seed(self):
         # any substitution whose seed image starts with the seed
-        out = substitute(FIB, w("a", "ab"), power=1)
+        out = substitute(FIB, w("a", "ab"))
         assert out[0] == 0
 
     def test_homomorphism_random(self):
@@ -75,11 +75,11 @@ class TestFixedPoint:
     def test_prefix_tower(self):
         short = fixed_point_prefix(FIB, 0, 30)
         long = fixed_point_prefix(FIB, 0, 60)
-        assert short[:30].is_prefix_of(long)
+        assert long.symbols.startswith(short[:30].symbols)
 
     def test_result_is_prefix_of_own_image(self):
         word = fixed_point_prefix(FIB, 0, 40)
-        assert word.is_prefix_of(substitute(FIB, word))
+        assert substitute(FIB, word).symbols.startswith(word.symbols)
 
     def test_fibonacci_letter_density(self):
         word = fixed_point_prefix(FIB, 0, 10**6)[: 10**6]
@@ -115,19 +115,6 @@ class TestFixedPoint:
         with pytest.raises(DivergenceError):
             fixed_point_prefix(subst, 0, 10)
         assert rounds == [1]
-
-
-class TestPrimitivity:
-    def test_table_entries_primitive(self):
-        for name, spec in SUBSTITUTION_TABLE.items():
-            subst, _ = parse_substitution(spec)
-            assert subst.is_primitive, name
-
-    def test_non_primitive(self):
-        from sturmspec import Substitution
-
-        s = Substitution((Word(b"\x00\x01", 2), Word(b"\x01", 2)))  # a->ab, b->b
-        assert s.primitivity_power() is None
 
 
 class TestFactorSet:
@@ -237,4 +224,5 @@ def test_substitute_matches_per_symbol_join(case):
     syms = word.symbols
     for _ in range(power):
         syms = b"".join(images[s] for s in syms)
-    assert substitute(subst, word, power) == Word(syms, subst.alphabet_size)
+        word = substitute(subst, word)
+    assert word == Word(syms, subst.alphabet_size)
