@@ -64,7 +64,7 @@ CSV_HEADERS = {
 
 # Defaults of --cf-depth and --lambda.  The parser leaves both None, so a mode
 # that does not read one can refuse it when given; where the value is read,
-# and in the config echo, None stands for the default.
+# the default is stored on the parsed args, so the config echo shows it.
 DEFAULTS = {"cf_depth": 40, "coupling": 1.0}
 
 # Options whose flag is not their destination name spelled with dashes
@@ -72,8 +72,11 @@ FLAGS = {"coupling": "--lambda"}
 
 
 def _value(args, name):
-    value = getattr(args, name)
-    return DEFAULTS[name] if value is None else value
+    """The option ``name``, its default stored on ``args`` when not given;
+    a ``_refuse_unread`` of the same name must come first."""
+    if getattr(args, name) is None:
+        setattr(args, name, DEFAULTS[name])
+    return getattr(args, name)
 
 
 # Largest decimal exponent a fraction option takes: Fraction("1e-N") builds
@@ -443,8 +446,7 @@ TASKS = {
 
 def _config_echo(args):
     skip = {"task", "func", "out"}
-    config = {k: DEFAULTS.get(k) if v is None else v for k, v in sorted(vars(args).items())}
-    return {k: v for k, v in config.items() if k not in skip and v is not None}
+    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None}
 
 
 def run_experiment(args):

@@ -18,8 +18,10 @@ splits into two Jacobi (symmetric tridiagonal) chains on that path which
 differ only in the signs at their two ends.  Each chain is two vectors, and
 LAPACK's tridiagonal QL solver ``dsterf`` takes the eigenvalues of a
 Hamiltonian's two chains in one O(q^2) time, O(q) memory call, which runs
-without the GIL: from PARALLEL_NODES nodes up, the antiperiodic call runs on
-a pooled worker thread while the calling thread makes the periodic one.
+without the GIL: from PARALLEL_NODES nodes up, with more than one usable CPU,
+the antiperiodic call runs on a thread started for it while the calling
+thread makes the periodic one, and that thread is joined before the edges
+are returned.
 Where numpy does not export that routine, ``eigvalsh`` on each dense chain
 gives the same bits in O(q^3) time and O(q^2) memory.
 For q <= 2 or a word without a mirror there is no fold, and each corner is
@@ -36,6 +38,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +62,9 @@ CLOSED_GAP_EPS = 64
 # fallback; a full q x q matrix at the limit would take 200 MB.
 MAX_PERIOD = 5000
 
-# Folded chains of at least this many nodes take the antiperiodic pair on the
-# pooled worker thread while the calling thread solves the periodic pair;
-# shorter ones solve all four in one call, since waking the worker costs
+# Folded chains of at least this many nodes take the antiperiodic pair on a
+# thread of its own while the calling thread solves the periodic pair;
+# shorter ones solve all four in one call, since starting the thread costs
 # more than the overlap saves there.  Golden level 12 (q = 233) is the first
 # with 117-node chains.
 PARALLEL_NODES = 100
@@ -71,6 +74,10 @@ PARALLEL_NODES = 100
 # spectrum; a trace that float rounding overstates could make it overshoot,
 # which is why the traces come from the scalar trace map.
 TRACE_BOUND_HEADROOM = 0.1
+
+# Interior sample energies per proxy band in the trace bound scan: the two
+# quartile points and the midpoint.
+TRACE_SAMPLES_PER_BAND = 3
 
 # Gap-midpoint controls of ``zero_lyapunov_check``, in the widest gaps only:
 # narrow gaps hug the limiting spectrum, where a finite-step slope is small
@@ -165,30 +172,13 @@ def _chain_eigenvalues(chains):
     return d
 
 
-# The pooled worker thread of each process, or None where one CPU is usable.
-# Keyed on the process id: a fork child inherits the parent's executor but
-# not its thread, and would wait on it forever.
-_WORKERS = {}
-
-
-def _edge_worker():
-    """The one pooled worker thread of this process, or None where only one
-    CPU is usable.  ``concurrent.futures`` is imported on first use."""
-    pid = os.getpid()
-    if pid not in _WORKERS:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on macOS and Windows
-            cpus = os.cpu_count() or 1
-        worker = None
-        if cpus > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            worker = ThreadPoolExecutor(1, thread_name_prefix="sturmspec-edges")
-        # a racing first call may have stored its own executor, whose thread
-        # starts only on a first submit; the one stored first is kept
-        _WORKERS.setdefault(pid, worker)
-    return _WORKERS[pid]
+def _usable_cpus():
+    """The CPUs this process may run on, read afresh on each call, so a fork
+    child or a re-pinned process sees its own count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on macOS and Windows
+        return os.cpu_count() or 1
 
 
 def _edge_eigenvalues(symbols, values):
@@ -212,9 +202,11 @@ def _edge_eigenvalues(symbols, values):
     corner is the full q x q matrix.
 
     The four chains take one ``_chain_eigenvalues`` call.  From
-    PARALLEL_NODES nodes up, with a worker thread to spare, the
-    antiperiodic pair takes its own call on that thread while the periodic
-    pair takes one here, and the two ascending results are sorted together.
+    PARALLEL_NODES nodes up, with more than one usable CPU, the antiperiodic
+    pair takes its own call on one thread started for it while the periodic
+    pair takes one here; the thread is always joined, the periodic pair's
+    error is raised first, and the two ascending results are sorted
+    together.  No thread outlives the call.
     """
     q = len(values)
     m = _mirror_axis(symbols) if q > 2 else None
@@ -247,16 +239,25 @@ def _edge_eigenvalues(symbols, values):
 
     periodic = [chain(1.0, 1.0), chain(-1.0, -1.0)]
     antiperiodic = [chain(1.0, -1.0), chain(-1.0, 1.0)]
-    worker = _edge_worker() if n >= PARALLEL_NODES else None
-    if worker is None:
+    if n < PARALLEL_NODES or _usable_cpus() < 2:
         return _chain_eigenvalues(periodic + antiperiodic)
-    pending = worker.submit(_chain_eigenvalues, antiperiodic)
+    outcome = []  # the antiperiodic eigenvalues, or the error raised for them
+
+    def solve_antiperiodic():
+        try:
+            outcome.append(_chain_eigenvalues(antiperiodic))
+        except Exception as err:  # raised on the calling thread after the join
+            outcome.append(err)
+
+    thread = threading.Thread(target=solve_antiperiodic, name="sturmspec-edges")
+    thread.start()
     try:
         periodic_edges = _chain_eigenvalues(periodic)
-    except NumericError:
-        pending.exception()  # waits for the worker; the periodic error is the one raised
-        raise
-    return np.sort(np.concatenate([periodic_edges, pending.result()]))
+    finally:
+        thread.join()
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return np.sort(np.concatenate([periodic_edges, outcome[0]]))
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,6 @@ class BandSpectrum:
     bands: tuple[tuple[float, float], ...]
     period: int
     coupling: float
-    level: int | None = None
 
     @property
     def band_count(self):
@@ -275,13 +275,6 @@ class BandSpectrum:
     @property
     def measure(self):
         return sum(hi - lo for lo, hi in self.bands)
-
-    def gaps(self):
-        """Open intervals between consecutive bands."""
-        return [
-            (self.bands[i][1], self.bands[i + 1][0])
-            for i in range(len(self.bands) - 1)
-        ]
 
 
 def _refuse_long_period(q, where):
@@ -317,7 +310,7 @@ def band_spectrum(word, coupling, level=None):
             f"smallest gap {gaps.min():.3g} <= {tol:.3g}"
         )
     return BandSpectrum(
-        bands=tuple(zip(lo.tolist(), hi.tolist())), period=q, coupling=coupling, level=level
+        bands=tuple(zip(lo.tolist(), hi.tolist())), period=q, coupling=coupling
     )
 
 
@@ -389,9 +382,6 @@ class TraceBoundReport:
     and its stabilization across proxy depths are measured.
     """
 
-    level_max: int
-    proxy_level: int
-    coupling: float
     proxy_bands: tuple[tuple[float, float], ...]  # sigma_proxy meets sigma_proxy+1
     sample_energies: tuple[float, ...]
     sup_per_level: tuple[float, ...]  # index k = 0..level_max
@@ -402,24 +392,23 @@ class TraceBoundReport:
         return self.overall_sup * (1.0 + TRACE_BOUND_HEADROOM)
 
 
-def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=None):
+def trace_bound_scan(cf, coupling, level_max, proxy_level=None):
     """Sample |tr M(s_k)| for k <= level_max over proxy spectrum energies.
 
-    Proxy energies are interior samples of the bands of the intersection of
-    the approximant spectra at ``proxy_level`` and ``proxy_level + 1``; the
-    traces come from the scalar trace map (``sturmian_traces``).
+    Proxy energies are TRACE_SAMPLES_PER_BAND interior samples of each band
+    of the intersection of the approximant spectra at ``proxy_level`` and
+    ``proxy_level + 1``; the traces come from the scalar trace map
+    (``sturmian_traces``).
     """
     if coupling == 0:
         raise InvalidInputError("trace bound needs a non-zero coupling")
     if level_max < 0:
         raise InvalidInputError("level_max must be >= 0")
-    if samples_per_band < 1:
-        raise InvalidInputError(f"samples_per_band must be >= 1, got {samples_per_band}")
     proxy = level_max if proxy_level is None else proxy_level
     spec_a = sturmian_band_spectrum(cf, coupling, proxy)
     spec_b = sturmian_band_spectrum(cf, coupling, proxy + 1)
     proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
-    energies = band_samples(proxy_bands, samples_per_band)
+    energies = band_samples(proxy_bands, TRACE_SAMPLES_PER_BAND)
     if not energies.size:
         raise ResolutionError("proxy spectrum intersection is empty")
     traces = sturmian_traces(cf, coupling, energies, level_max)
@@ -429,9 +418,6 @@ def trace_bound_scan(cf, coupling, level_max, samples_per_band=3, proxy_level=No
     sups[np.isnan(sups)] = np.inf
     sups = tuple(sups.tolist())
     return TraceBoundReport(
-        level_max=level_max,
-        proxy_level=proxy,
-        coupling=coupling,
         proxy_bands=tuple(proxy_bands),
         sample_energies=tuple(energies.tolist()),
         sup_per_level=sups,

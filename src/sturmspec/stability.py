@@ -38,7 +38,6 @@ class GordonCertificate:
     and every energy is certified.
     """
 
-    n: int
     c_bound: float
     lower_bound: float
     square_ok: bool
@@ -128,7 +127,6 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
         residuals = np.ldexp(residuals, e) / np.maximum(norm0, 1.0)
         max_residual[certified] = residuals.max(axis=-1)
     return GordonCertificate(
-        n=n,
         c_bound=c_bound,
         lower_bound=lower_bound,
         square_ok=square_ok,

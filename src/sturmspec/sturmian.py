@@ -108,7 +108,6 @@ class StandardWordTower:
     """Words s_{-1} = 1, s_0 = 0, s_1 = s_0^{a_1 - 1} s_{-1},
     s_n = s_{n-1}^{a_n} s_{n-2}, all over {0, 1}; |s_n| = q_n for n >= 0."""
 
-    cf: ContinuedFraction
     words: tuple[Word, ...]  # index n + 1 holds s_n
 
     @property
@@ -148,7 +147,7 @@ def _standard_bytes(cf, level):
 def standard_words(cf, level):
     """Build the tower up to s_level (level <= number of CF coefficients)."""
     words = tuple(Word(symbols, 2) for symbols in _standard_bytes(cf, level))
-    return StandardWordTower(cf=cf, words=words)
+    return StandardWordTower(words=words)
 
 
 def c_alpha_prefix(cf, length):

@@ -173,8 +173,6 @@ class LyapunovEstimate:
     where the window does not cover its side.
     """
 
-    energy: float  # or an array of energies, with gammas aligned to it
-    steps: int
     gamma_plus: float | None
     gamma_minus: float | None
 
@@ -193,6 +191,4 @@ def lyapunov_estimate(window, energy, steps):
         gamma_plus = transfer_product(window, energy, 1, steps).log_norm() / steps
     if backward:
         gamma_minus = transfer_product(window, energy, -steps, -1).log_norm() / steps
-    return LyapunovEstimate(
-        energy=energy, steps=steps, gamma_plus=gamma_plus, gamma_minus=gamma_minus
-    )
+    return LyapunovEstimate(gamma_plus=gamma_plus, gamma_minus=gamma_minus)

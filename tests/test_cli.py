@@ -1065,15 +1065,16 @@ class TestReportPlumbing:
     @pytest.mark.parametrize(
         "argv, defaults",
         [
-            (["word", "--model", "fibonacci", "--length", "5"], {"cf_depth": 40}),
-            (FREE_LYAPUNOV + ["--energies", "0"], {"cf_depth": 40, "coupling": 1.0}),
+            (["word", "--model", "fibonacci", "--length", "5"], {}),
+            (FREE_LYAPUNOV + ["--energies", "0"], {}),
             (["spectrum", "--alpha-period", ":1", "--levels", "2"],
              {"cf_depth": 40, "coupling": 1.0}),
+            (["spectrum", "--alpha-cf", "1x30", "--levels", "2"], {"coupling": 1.0}),
         ],
     )
     def test_config_echo_carries_the_defaults(self, argv, defaults):
         # --cf-depth and --lambda parse to None when not given; the echo
-        # still shows the values they stand for
+        # shows the default of each one the run read, and no other
         config = run_report(argv)["config"]
         assert {k: config[k] for k in ("cf_depth", "coupling") if k in config} == defaults
 

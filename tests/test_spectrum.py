@@ -1,8 +1,9 @@
+import json
 import math
 import os
-import signal
+import subprocess
 import sys
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ def test_band_structure_over_random_continued_fractions(coeffs, coupling):
     for lo, hi in spec.bands:
         assert lo < hi
         assert abs(_site_loop_trace(values, 0.5 * (lo + hi))) <= 2.0
-    for lo, hi in spec.gaps():
+    for (_, lo), (hi, _) in zip(spec.bands, spec.bands[1:]):
         assert lo < hi
         assert abs(_site_loop_trace(values, 0.5 * (lo + hi))) > 2.0
 
@@ -344,13 +345,11 @@ def test_stacked_chains_match_the_sorted_per_chain_calls(fallback, chains):
 
 
 def _edges(symbols, values, threaded):
-    """The band edges with the antiperiodic pair forced onto a worker
+    """The band edges with the antiperiodic pair forced onto its own
     thread, or forced inline."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(1) as worker, pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectrum, "PARALLEL_NODES", 1 if threaded else 10**9)
-        patch.setattr(spectrum, "_edge_worker", lambda: worker if threaded else None)
+        patch.setattr(spectrum, "_usable_cpus", lambda: 2 if threaded else 1)
         return _edge_eigenvalues(symbols, values)
 
 
@@ -378,7 +377,7 @@ def test_threaded_and_inline_edges_are_byte_equal_on_mirrored_words(word):
 
 def test_lapack_failure_on_the_worker_path(monkeypatch):
     # both pairs fail; the error raised is the periodic pair's, once the
-    # worker is done
+    # edge thread is joined
     monkeypatch.setattr(spectrum, "_load_dsterf", lambda: lambda n, d, e: 1)
     symbols, values = _standard_word(1, 13, 1.0)
     with pytest.raises(NumericError, match=r"info = 1 on \d+ nodes in 2 chains$"):
@@ -386,15 +385,15 @@ def test_lapack_failure_on_the_worker_path(monkeypatch):
 
 
 def test_concurrent_callers_get_the_same_bytes(monkeypatch, golden_cf):
-    # four threads, more than the cores, race for the process's first worker
-    # and then share it, switching every microsecond
+    # four threads, more than the cores, each start edge threads of their
+    # own, switching every microsecond
     from concurrent.futures import ThreadPoolExecutor
 
     def edges(level):
         return np.array(sturmian_band_spectrum(golden_cf, 1.0, level).bands).tobytes()
 
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
     serial = {level: edges(level) for level in (15, 16)}
-    monkeypatch.setattr(spectrum, "_WORKERS", {})
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -402,39 +401,92 @@ def test_concurrent_callers_get_the_same_bytes(monkeypatch, golden_cf):
             results = list(callers.map(edges, [15, 16] * 8, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-        for worker in spectrum._WORKERS.values():
-            if worker is not None:
-                worker.shutdown()
-    assert list(spectrum._WORKERS) == [os.getpid()]
     assert results == [serial[15], serial[16]] * 8
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork, Linux only")
-@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
-def test_fork_child_does_not_wait_on_the_parents_worker(monkeypatch, golden_cf):
-    from concurrent.futures import ThreadPoolExecutor
+def test_edge_thread_error_reaches_the_caller(monkeypatch, capfd, golden_cf):
+    # the antiperiodic pair alone fails: its error is raised here, and the
+    # edge thread, having caught it, leaves threading.excepthook nothing
+    solve = spectrum._chain_eigenvalues
+    hooked = []
 
-    # the parent's worker has run, so its thread sits idle on the queue; the
-    # child inherits the executor without that thread
-    worker = ThreadPoolExecutor(1)
-    monkeypatch.setitem(spectrum._WORKERS, os.getpid(), worker)
-    parent = sturmian_band_spectrum(golden_cf, 1.0, 13)
+    def fail_off_the_main_thread(chains):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericError("antiperiodic pair failed")
+        return solve(chains)
+
+    monkeypatch.setattr(spectrum, "_chain_eigenvalues", fail_off_the_main_thread)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)
+    with pytest.raises(NumericError) as failed:
+        sturmian_band_spectrum(golden_cf, 1.0, 13)
+    assert str(failed.value) == "level 13, q=377: antiperiodic pair failed"
+    assert hooked == []
+    assert capfd.readouterr().err == ""
+
+
+def test_no_edge_thread_outlives_its_call(monkeypatch, golden_cf):
+    solve = spectrum._chain_eigenvalues
+    names = []
+
+    def record_thread(chains):
+        names.append(threading.current_thread().name)
+        return solve(chains)
+
+    monkeypatch.setattr(spectrum, "_chain_eigenvalues", record_thread)
+    monkeypatch.setattr(spectrum, "_usable_cpus", lambda: 2)
+    before = threading.active_count()
+    sturmian_band_spectrum(golden_cf, 1.0, 13)
+    assert "sturmspec-edges" in names
+    assert threading.active_count() == before
+
+
+# A fresh interpreter computes a threaded spectrum, then forks.  With no
+# thread left behind, Python 3.12 and later have no multi-threaded fork to
+# warn about, and no executor machinery has been imported.  Python 3.12
+# counts the threads in the kernel's list, which a joined thread can take a
+# few microseconds more to leave, so the fork waits (at most 5 s) for one.
+_FORK_AFTER_THREADED_EDGES = """
+import json, os, sys, threading, time, warnings
+from sturmspec import convergents, periodic_coefficients, spectrum, sturmian_band_spectrum
+spectrum._usable_cpus = lambda: 2
+sturmian_band_spectrum(convergents(periodic_coefficients([], [1], 40)), 1.0, 13)
+deadline = time.monotonic() + 5.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.001)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
     pid = os.fork()
     if pid == 0:
-        code = 1
-        try:
-            code = 0 if sturmian_band_spectrum(golden_cf, 1.0, 13) == parent else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 30.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.01)
-    worker.shutdown()
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    assert done[0] == pid, "the fork child's level 13 spectrum did not finish in 30 s"
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+        os._exit(0)
+os.waitpid(pid, 0)
+print(json.dumps({
+    "warnings": [str(w.message) for w in caught],
+    "threads": threading.active_count(),
+    "os_threads": len(os.listdir("/proc/self/task")),
+    "modules": sorted({"concurrent.futures", "logging"} & set(sys.modules)),
+}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="fork, Linux only")
+def test_fork_after_threaded_edges_warns_nothing():
+    import sturmspec
+
+    path = [os.path.dirname(os.path.dirname(sturmspec.__file__)), os.environ.get("PYTHONPATH")]
+    # OpenBLAS starts a thread pool of its own when numpy loads; one thread
+    # leaves it none, so the count is sturmspec's threads alone
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", _FORK_AFTER_THREADED_EDGES],
+        env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    seen = json.loads(run.stdout)
+    assert [w for w in seen["warnings"] if "multi-threaded" in w] == []
+    assert seen["threads"] == seen["os_threads"] == 1
+    assert seen["modules"] == []
 
 
 def test_mirror_axis_by_hand():
@@ -557,7 +609,7 @@ class TestTraceBounds:
         # at lambda = 10 the proxy-2 samples lie off the deep spectra: their
         # traces overflow to inf at level 17 and to NaN (inf - inf) past it,
         # and a NaN level counts as unbounded
-        report = trace_bound_scan(golden_cf, 10.0, 20, samples_per_band=2, proxy_level=2)
+        report = trace_bound_scan(golden_cf, 10.0, 20, proxy_level=2)
         energies = np.asarray(report.sample_energies)
         traces = sturmian_traces(golden_cf, 10.0, energies, 20)
         assert any(np.isnan(t).any() for t in traces)
@@ -568,7 +620,7 @@ class TestTraceBounds:
         assert report.overall_sup == math.inf
 
     def test_matches_direct_trace_evaluation(self, golden_cf):
-        report = trace_bound_scan(golden_cf, 1.0, 5, samples_per_band=1)
+        report = trace_bound_scan(golden_cf, 1.0, 5)
         k = 5
         values = window_from_word(standard_words(golden_cf, k).word(k), 1.0).values.tolist()
         direct = max(abs(_site_loop_trace(values, e)) for e in report.sample_energies)
@@ -619,11 +671,9 @@ class TestZeroLyapunov:
     def test_no_intervals_give_no_samples(self):
         assert band_samples([], 2).shape == (0,)
 
-    def test_zero_samples_refused(self, golden_cf):
+    def test_zero_samples_refused(self):
         with pytest.raises(InvalidInputError, match="per_band"):
             band_samples([(0.0, 1.0)], per_band=0)
-        with pytest.raises(InvalidInputError, match="samples_per_band"):
-            trace_bound_scan(golden_cf, 1.0, 4, samples_per_band=0)
 
     def test_samples_cover_bands(self, fib_spectra):
         pts = band_samples(fib_spectra[3].bands, per_band=3)
