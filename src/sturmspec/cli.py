@@ -223,19 +223,15 @@ def _task_word(args):
         }
     if args.length is None:
         raise InvalidInputError("word task needs --length (or --tower)")
-    if args.model:
-        subst, letters = parse_substitution(SUBSTITUTION_TABLE[args.model])
-        word = fixed_point_prefix(subst, 0, args.length)[: args.length]
-        text = word.to_text(MODEL_OUTPUT_LETTERS.get(args.model, letters))
-    elif args.subst:
-        subst, letters = parse_substitution(args.subst)
+    if args.model or args.subst:
+        subst, letters = parse_substitution(SUBSTITUTION_TABLE.get(args.model, args.subst))
         if args.seed is not None and args.seed not in set(letters):
             raise InvalidInputError(
                 f"--seed must be one letter of the substitution ({letters}), got {args.seed!r}"
             )
         seed = letters.index(args.seed) if args.seed else 0
         word = fixed_point_prefix(subst, seed, args.length)[: args.length]
-        text = word.to_text(letters)
+        text = word.to_text(MODEL_OUTPUT_LETTERS.get(args.model, letters))
     else:
         cf = _resolve_cf(args)
         text = c_alpha_prefix(cf, args.length).to_text()
@@ -352,13 +348,15 @@ def _task_gordon(args):
         window, q_n, c_bound, energies, _draw_seeds(random.Random(args.rng_seed), args.seeds)
     )
     square_ok, lower_bound = cert.square_ok, cert.lower_bound
+    # JSON has no Infinity: a trace that overflowed, never certified, is null
+    abs_traces = [t if math.isfinite(t) else None for t in cert.abs_trace.tolist()]
     certificates = [
         {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": True,
          "min_ratio": ratio, "lower_bound": lower_bound, "nondecay_ok": nondecay_ok}
         if certified else
         {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": False}
         for energy, abs_trace, certified, ratio, nondecay_ok in zip(
-            cert.energy.tolist(), cert.abs_trace.tolist(), cert.certified.tolist(),
+            cert.energy.tolist(), abs_traces, cert.certified.tolist(),
             cert.min_ratio.tolist(), cert.nondecay_ok.tolist(),
         )
     ]

@@ -373,6 +373,17 @@ def sturmian_band_spectrum(cf, coupling, level):
     return band_spectrum(word, coupling, level=level)
 
 
+def _proxy_spectra(cf, coupling, level):
+    """The approximant spectra at ``level`` and ``level + 1`` and the proxy
+    spectrum, their intersection as a band list; an empty one is refused."""
+    spec_a = sturmian_band_spectrum(cf, coupling, level)
+    spec_b = sturmian_band_spectrum(cf, coupling, level + 1)
+    proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
+    if not proxy_bands:
+        raise ResolutionError("proxy spectrum intersection is empty")
+    return spec_a, spec_b, proxy_bands
+
+
 @dataclass(frozen=True)
 class TraceBoundReport:
     """Empirical windows into the uniform trace bound: sup over sampled
@@ -404,12 +415,8 @@ def trace_bound_scan(cf, coupling, level_max, proxy_level=None):
     if level_max < 0:
         raise InvalidInputError("level_max must be >= 0")
     proxy = level_max if proxy_level is None else proxy_level
-    spec_a = sturmian_band_spectrum(cf, coupling, proxy)
-    spec_b = sturmian_band_spectrum(cf, coupling, proxy + 1)
-    proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
+    *_, proxy_bands = _proxy_spectra(cf, coupling, proxy)
     energies = band_samples(proxy_bands, TRACE_SAMPLES_PER_BAND)
-    if not energies.size:
-        raise ResolutionError("proxy spectrum intersection is empty")
     traces = sturmian_traces(cf, coupling, energies, level_max)
     # a NaN trace comes from an overflow (inf - inf) and counts as unbounded;
     # the max over a level propagates it
@@ -432,9 +439,6 @@ class ZeroLyapunovReport:
     exponent is genuinely positive.
     """
 
-    level: int
-    steps: int
-    coupling: float
     in_spectrum: tuple[tuple[float, float], ...]  # (E, gamma+)
     max_gamma_in_spectrum: float
     gap_controls: tuple[tuple[float, float, float], ...]  # (E, gap width, gamma+)
@@ -446,11 +450,7 @@ def zero_lyapunov_check(cf, coupling, level, steps):
     """Estimate gamma+ at proxy-spectrum band midpoints and at the midpoints
     of the ``GAP_CONTROLS`` widest gaps, over the length-``steps`` prefix
     potential."""
-    spec_a = sturmian_band_spectrum(cf, coupling, level)
-    spec_b = sturmian_band_spectrum(cf, coupling, level + 1)
-    proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
-    if not proxy_bands:
-        raise ResolutionError("proxy spectrum intersection is empty")
+    spec_a, spec_b, proxy_bands = _proxy_spectra(cf, coupling, level)
     in_energies = band_samples(proxy_bands, per_band=1).tolist()
 
     union = union_intervals(spec_a.bands, spec_b.bands)
@@ -471,9 +471,6 @@ def zero_lyapunov_check(cf, coupling, level, steps):
     )
     free_gamma = float(lyapunov_estimate(constant_window(0.0, 1, steps), 0.0, steps).gamma_plus)
     return ZeroLyapunovReport(
-        level=level,
-        steps=steps,
-        coupling=coupling,
         in_spectrum=in_part,
         max_gamma_in_spectrum=max(g for _, g in in_part),
         gap_controls=gap_part,

@@ -146,16 +146,10 @@ class MeasureBoundReport:
     1/7 - 2 q_n / prefix.
     """
 
-    level: int
-    q_n: int
-    prefix_length: int
-    cube_count: int
     cube_density: Fraction
     product: Fraction
-    window_ok: bool
     lower_bound: Fraction
     bound_ok: bool | None  # None when the window check failed
-    shortfall: bool  # cube never occurs in the prefix
     coverage: WindowCoverageReport  # the window check the bound rests on
 
 
@@ -177,22 +171,14 @@ def stability_measure_bound(cf, level, prefix_length):
     # needs: disjoint windows each contribute a start, so the density
     # clears 1/window up to a boundary term.
     coverage = window_coverage_check(cf, level, prefix_length)
-    window_ok = coverage.all_windows_contain_start
-    count = coverage.cube_occurrences
     # overlapping occurrences of s_n^3 over the prefix's 3 q_n-site windows
-    density = Fraction(count, prefix_length - 3 * q_n + 1)
+    density = Fraction(coverage.cube_occurrences, prefix_length - 3 * q_n + 1)
     product = q_n * density
     lower = Fraction(1, 7) - Fraction(2 * q_n, prefix_length)
     return MeasureBoundReport(
-        level=level,
-        q_n=q_n,
-        prefix_length=prefix_length,
-        cube_count=count,
         cube_density=density,
         product=product,
-        window_ok=window_ok,
         lower_bound=lower,
-        bound_ok=(product >= lower) if window_ok else None,
-        shortfall=count == 0,
+        bound_ok=(product >= lower) if coverage.all_windows_contain_start else None,
         coverage=coverage,
     )

@@ -69,6 +69,12 @@ def convergents(coefficients):
     return ContinuedFraction(coeffs, tuple(p), tuple(q))
 
 
+# Most coefficients a continued fraction takes: the convergent table's cost
+# grows faster than linearly in its depth (minutes at depth 100 000), and no
+# routine here reaches a level past a few dozen.
+MAX_CF_DEPTH = 1000
+
+
 def periodic_coefficients(preperiod, period, depth):
     """Unroll an eventually periodic CF (quadratic irrational) to ``depth``."""
     pre = list(preperiod)
@@ -77,6 +83,8 @@ def periodic_coefficients(preperiod, period, depth):
         raise InvalidInputError("periodic part must be non-empty")
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
+    if depth > MAX_CF_DEPTH:
+        raise InvalidInputError(f"CF depth {depth} exceeds the limit of {MAX_CF_DEPTH}")
     out = list(pre)
     while len(out) < depth:
         out.extend(per)
@@ -97,6 +105,9 @@ def parse_cf_spec(text):
             raise InvalidInputError(f"bad coefficient token {token!r}")
         if repeat < 1:
             raise InvalidInputError(f"repeat count below 1 in coefficient token {token!r}")
+        total = len(coeffs) + repeat
+        if total > MAX_CF_DEPTH:
+            raise InvalidInputError(f"{total} coefficients exceed the limit of {MAX_CF_DEPTH}")
         coeffs.extend([value] * repeat)
     if not coeffs:
         raise InvalidInputError(f"no coefficients in {text!r}")
@@ -201,10 +212,7 @@ class WindowCoverageReport:
     smallest length for which full containment would hold on this prefix.
     """
 
-    level: int
-    q_n: int
     window_length: int
-    prefix_length: int
     cube_occurrences: int
     max_start_gap: int
     all_windows_contain_start: bool
@@ -240,10 +248,7 @@ def window_coverage_check(cf, n, prefix_length):
     worst = int(np.argmax(waits[:kept]))  # the first longest wait
     worst_wait = int(waits[worst])
     return WindowCoverageReport(
-        level=n,
-        q_n=q_n,
         window_length=window,
-        prefix_length=prefix_length,
         cube_occurrences=len(occ),
         max_start_gap=int(np.diff(occ).max(initial=0)) if len(occ) else prefix_length,
         all_windows_contain_start=worst_wait <= window - 1,

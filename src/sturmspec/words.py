@@ -144,23 +144,40 @@ def parse_substitution(text):
     return Substitution(images), letters
 
 
+# Codes per gather in ``substitute``.  numpy reads gather indices as intp, 8
+# bytes a code, so a gather over a whole word copies it eightfold; each block
+# of codes is gathered into arrays allocated once, with mode="clip", without
+# which numpy gathers into a copy of ``out``.  No code is clipped: every one
+# is below the alphabet size.
+SUBSTITUTE_BLOCK = 1 << 20
+
+
 def substitute(subst, word):
     """Apply S to ``word``; S(uv) = S(u)S(v).
 
-    The image is one gather of the symbols' rows from a (letters x longest
+    The image is a gather of the symbols' rows from a (letters x longest
     image) table of the images, padded at the end; when the image lengths
-    differ, a mask of the same shape drops the padding."""
+    differ, a mask gathered the same way drops the padding."""
     if word.alphabet_size != subst.alphabet_size:
         raise InvalidWordError("word alphabet does not match substitution")
     lengths = np.array([len(img) for img in subst.images])
     width = int(lengths.max())
     padded = b"".join(img.symbols.ljust(width, b"\0") for img in subst.images)
     table = np.frombuffer(padded, np.uint8).reshape(-1, width)
+    mask = np.arange(width) < lengths[:, None]
     codes = np.frombuffer(word.symbols, np.uint8)
-    rows = table.take(codes, axis=0)
-    if lengths.min() < width:
-        rows = rows[(np.arange(width) < lengths[:, None]).take(codes, axis=0)]
-    return Word(rows.tobytes(), subst.alphabet_size)
+    rows = np.empty((len(codes), width), np.uint8)
+    keep = np.empty(rows.shape, bool) if lengths.min() < width else None
+    for start in range(0, len(codes), SUBSTITUTE_BLOCK):
+        block = slice(start, start + SUBSTITUTE_BLOCK)
+        table.take(codes[block], axis=0, out=rows[block], mode="clip")
+        if keep is not None:
+            mask.take(codes[block], axis=0, out=keep[block], mode="clip")
+    if keep is not None:
+        rows = rows[keep]
+    symbols = rows.tobytes()
+    del rows, keep  # freed before Word checks the symbols, which takes a copy's worth
+    return Word(symbols, subst.alphabet_size)
 
 
 def fixed_point_prefix(subst, seed, min_length):

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -370,6 +371,17 @@ class TestGordonTask:
             assert cert["verdict"]
             assert cert["nondecay_ok"]
 
+    def test_overflowed_trace_written_null(self, capsys):
+        # the level-16 block trace overflows at these energies in the gaps
+        code, out, _ = run_cli(
+            ["gordon", "--alpha-period", ":1", "--level", "16",
+             "--energies", "2.9,4,-2.5,10", "--seeds", "2"],
+            capsys,
+        )
+        assert code == 0
+        rows = json.loads(out, parse_constant=_not_json)["certificates"]
+        assert [(row["abs_trace"], row["verdict"]) for row in rows] == [(None, False)] * 4
+
     def test_json_only(self, capsys):
         code, out, err = parse_refusal(
             ["gordon", "--alpha-period", ":1", "--level", "3", "--seeds", "2",
@@ -495,6 +507,28 @@ class TestBoundaryAmbiguityExit:
 
 
 FREE_LYAPUNOV = ["lyapunov", "--potential", "free", "--steps", "1000"]
+# a continued fraction of more than 1000 coefficients is refused before it
+# is unrolled or its repeats expanded
+CF_LIMIT_REFUSALS = [
+    (["spectrum", "--alpha-period", ":1", "--cf-depth", "100000", "--levels", "1"],
+     2, "CF depth 100000 exceeds the limit of 1000"),
+    (["spectrum", "--alpha-cf", "1x100000", "--levels", "1"],
+     2, "100000 coefficients exceed the limit of 1000"),
+    (["word", "--alpha-cf", "1x1000000000", "--length", "5"],
+     2, "1000000000 coefficients exceed the limit of 1000"),
+    (["word", "--alpha-cf", "2,1x1000", "--length", "5"],
+     2, "1001 coefficients exceed the limit of 1000"),
+]
+
+
+def test_cf_limit_refused_at_once_and_depth_1000_runs(capsys):
+    for argv, _, _ in CF_LIMIT_REFUSALS:
+        start = time.perf_counter()
+        assert run_cli(argv, capsys)[0] == 2
+        assert time.perf_counter() - start < 1.0
+    for rotation in (["--alpha-period", ":1", "--cf-depth", "1000"], ["--alpha-cf", "1x1000"]):
+        code, out, _ = run_cli(["word", *rotation, "--length", "8"], capsys)
+        assert code == 0 and json.loads(out)["word"] == "10110101"
 
 
 class TestRefusedRuns:
@@ -616,6 +650,11 @@ class TestRefusedRuns:
             (["word", "--alpha-period", ":1", "--tower", "28"],
              2, "--tower 28: q_28 = 514229 exceeds the tower limit of 500000"),
             (["word", "--alpha-period", ":1", "--tower", "40"], 2, "q_40 = 165580141"),
+            *CF_LIMIT_REFUSALS,
+            # at lambda = 5 the golden sigma_0 = [-2, 2] and sigma_1 = [3, 7]
+            # do not meet
+            (["gordon", "--alpha-period", ":1", "--lambda", "5", "--level", "0",
+              "--energies", "from-spectrum:0"], 3, "error: proxy spectrum intersection is empty"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):
@@ -922,6 +961,10 @@ def gordon_argv(draw):
     return draw_argv(draw, "gordon", GORDON_OPTIONS, 2, kept=["--seeds"])
 
 
+def _not_json(constant):
+    raise AssertionError(f"{constant} in a report: not standard JSON")
+
+
 def _assert_exit_contract(argv):
     """One report and exit 0, or one error line and a documented code; and
     the same run as through the two-level parse."""
@@ -930,7 +973,7 @@ def _assert_exit_contract(argv):
     if code == 0 and "--format=csv" in argv:
         assert out.splitlines()[0] == ",".join(CSV_HEADERS[argv[0]])
     elif code == 0:
-        assert json.loads(out)["task"] == argv[0]
+        assert json.loads(out, parse_constant=_not_json)["task"] == argv[0]
     else:
         assert out == ""
         assert "Traceback" not in err

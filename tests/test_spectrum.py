@@ -645,6 +645,15 @@ class TestTraceBounds:
             trace_bound_scan(golden_cf, 0.0, 4)
 
 
+def test_empty_proxy_refused(golden_cf):
+    # at lambda = 5 the golden sigma_0 = [-2, 2] and sigma_1 = [3, 7] do not meet
+    empty = "^proxy spectrum intersection is empty$"
+    with pytest.raises(ResolutionError, match=empty):
+        trace_bound_scan(golden_cf, 5.0, 0)
+    with pytest.raises(ResolutionError, match=empty):
+        zero_lyapunov_check(golden_cf, 5.0, 0, 1000)
+
+
 class TestZeroLyapunov:
     def test_separation_at_modest_scale(self, golden_cf):
         report = zero_lyapunov_check(golden_cf, 1.0, 5, 5000)

@@ -446,9 +446,9 @@ class TestCubeToSquare:
 class TestMeasureBound:
     def test_golden_level_four(self, golden_cf):
         report = stability_measure_bound(golden_cf, 4, 10**5)
-        assert report.window_ok
+        assert report.coverage.all_windows_contain_start
         assert report.bound_ok
-        assert float(report.product) >= 1 / 7 - 2 * report.q_n / 10**5
+        assert float(report.product) >= 1 / 7 - 2 * golden_cf.q[4] / 10**5
 
     def test_products_bounded_below(self, golden_cf):
         for level in (3, 4, 5, 6, 7):
@@ -456,12 +456,11 @@ class TestMeasureBound:
             assert float(report.product) >= 0.1
 
     def test_golden_level_one_shortfall(self, golden_cf):
-        # "111" never occurs in the golden coding: honest zero with a flag
+        # "111" never occurs in the golden coding: an honest zero, no verdict
         report = stability_measure_bound(golden_cf, 1, 10**4)
-        assert report.shortfall
-        assert report.cube_count == 0
+        assert report.coverage.cube_occurrences == 0
         assert report.product == 0
-        assert not report.window_ok
+        assert not report.coverage.all_windows_contain_start
         assert report.bound_ok is None
 
     def test_prefix_too_short(self, golden_cf):
@@ -471,8 +470,6 @@ class TestMeasureBound:
     def test_carries_its_window_check(self, golden_cf):
         report = stability_measure_bound(golden_cf, 4, 10**5)
         assert report.coverage == window_coverage_check(golden_cf, 4, 10**5)
-        assert report.window_ok == report.coverage.all_windows_contain_start
-        assert report.cube_count == report.coverage.cube_occurrences
 
     def test_density_is_exact_fraction(self, golden_cf):
         report = stability_measure_bound(golden_cf, 3, 10**4)

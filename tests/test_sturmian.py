@@ -226,10 +226,7 @@ def scanned_coverage(cf, n, prefix_length):
         if wait > worst_wait:
             worst_wait, worst = wait, j
     return dict(
-        level=n,
-        q_n=q_n,
         window_length=window,
-        prefix_length=prefix_length,
         cube_occurrences=len(occ),
         max_start_gap=max((b - a for a, b in zip(occ, occ[1:])), default=0)
         if occ

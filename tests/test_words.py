@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,3 +227,28 @@ def test_substitute_matches_per_symbol_join(case):
         syms = b"".join(images[s] for s in syms)
         word = substitute(subst, word)
     assert word == Word(syms, subst.alphabet_size)
+
+
+@pytest.mark.parametrize("model", sorted(SUBSTITUTION_TABLE))
+def test_substitute_in_blocks_matches_per_symbol_join(model, monkeypatch):
+    subst, _ = parse_substitution(SUBSTITUTION_TABLE[model])
+    images = [img.symbols for img in subst.images]
+    word = fixed_point_prefix(subst, 0, 1000)
+    monkeypatch.setattr("sturmspec.words.SUBSTITUTE_BLOCK", 7)  # blocks end mid-word
+    assert substitute(subst, word).symbols == b"".join(images[s] for s in word.symbols)
+
+
+@pytest.mark.parametrize("model, bytes_per_symbol", [("thue-morse", 3.0), ("fibonacci", 7.4)])
+def test_substitute_peak_memory(model, bytes_per_symbol):
+    # numpy reads gather indices as intp, 8 bytes per code: one gather over
+    # the whole word peaks at 5.0 bytes per output symbol for Thue-Morse and
+    # 7.4 for fibonacci
+    subst, _ = parse_substitution(SUBSTITUTION_TABLE[model])
+    word = fixed_point_prefix(subst, 0, 1 << 22)
+    tracemalloc.start()
+    try:
+        image = substitute(subst, word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bytes_per_symbol * len(image)
