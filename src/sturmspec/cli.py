@@ -319,15 +319,16 @@ def _task_gordon(args):
             proxy = int(proxy_text)
         except ValueError:
             raise InvalidInputError(f"bad proxy level {proxy_text!r} in {args.energies!r}")
-        # the proxy spectrum intersects levels K and K + 1
-        if not 0 <= proxy <= cf.depth - 1:
-            raise InvalidInputError(
-                f"--energies {args.energies}: K must be in 0..{cf.depth - 1} "
-                f"for CF depth {cf.depth} (levels K and K + 1)"
-            )
+        refusal = f"--energies {args.energies}: K"
     else:
         energies = _parse_energies(args.energies)
         proxy = max(level, 8)
+        refusal = f"the trace bound's proxy K = {proxy}, max(--level, 8),"
+    # the proxy spectrum intersects levels K and K + 1
+    if not 0 <= proxy <= cf.depth - 1:
+        raise InvalidInputError(
+            f"{refusal} must be in 0..{cf.depth - 1} for CF depth {cf.depth} (levels K and K + 1)"
+        )
     _refuse_long_tower(cf, "--level", level)
     # the scan refuses a proxy period above MAX_PERIOD before the square is spelled out
     scan = trace_bound_scan(cf, coupling, level_max=proxy, proxy_level=proxy)

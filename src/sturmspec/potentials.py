@@ -36,9 +36,7 @@ class PotentialWindow:
         return self.lo <= k and n <= self.hi
 
     def value(self, n):
-        if not self.lo <= n <= self.hi:
-            raise WindowError(f"index {n} outside window [{self.lo}, {self.hi}]")
-        return float(self.values[n - self.lo])
+        return float(self.slice_values(n, n)[0])
 
     def slice_values(self, k, n):
         """Values V(k), ..., V(n) as a read-only view."""

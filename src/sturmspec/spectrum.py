@@ -96,18 +96,16 @@ def _mirror_axis(symbols):
     return None if k < 0 else (k + q - 1) % q
 
 
-def _full_eigenvalues(values, corner):
-    """Eigenvalues of the q x q Hamiltonian with the wrap bond (q-1, 0)
-    weighted by ``corner``.  Every bond is accumulated, so for q = 2 the
-    wrap bond adds to the hopping entry and for q = 1 it lands twice on the
-    diagonal (V_0 + 2 corner)."""
-    q = len(values)
-    h = np.diag(values)
-    site = np.arange(q)
-    hop = np.ones(q)
-    hop[-1] = corner
-    np.add.at(h, (site, (site + 1) % q), hop)
-    np.add.at(h, ((site + 1) % q, site), hop)
+def _dense_eigenvalues(diagonal, hops, corner=0.0):
+    """Eigenvalues of the dense n x n matrix with ``diagonal``, ``hops`` on
+    both first off-diagonals, and a non-zero ``corner`` added on the wrap bond
+    (n-1, 0): to the hop for n = 2, twice to the diagonal for n = 1."""
+    n = len(diagonal)
+    h = np.diag(diagonal)
+    h.flat[1 :: n + 1] = hops
+    h.flat[n :: n + 1] = hops
+    if corner:
+        np.add.at(h, ([n - 1, 0], [0, n - 1]), corner)
     return np.linalg.eigvalsh(h)
 
 
@@ -152,14 +150,7 @@ def _chain_eigenvalues(chains):
             )
     dsterf = _load_dsterf()
     if dsterf is None:
-        parts = []
-        for diagonal, hops in chains:
-            n = len(diagonal)
-            chain = np.diag(diagonal)
-            chain.flat[1 :: n + 1] = hops
-            chain.flat[n :: n + 1] = hops
-            parts.append(np.linalg.eigvalsh(chain))
-        return np.sort(np.concatenate(parts))
+        return np.sort(np.concatenate([_dense_eigenvalues(*chain) for chain in chains]))
     # dsterf overwrites d with the eigenvalues and e with scratch; e carries
     # one zero after each chain, the last one past the n - 1 that are read
     d = np.concatenate([diagonal for diagonal, _ in chains], dtype=np.float64)
@@ -211,7 +202,8 @@ def _edge_eigenvalues(symbols, values):
     q = len(values)
     m = _mirror_axis(symbols) if q > 2 else None
     if m is None:
-        return np.sort(np.concatenate([_full_eigenvalues(values, c) for c in (1.0, -1.0)]))
+        hops = np.ones(q - 1)
+        return np.sort(np.concatenate([_dense_eigenvalues(values, hops, c) for c in (1.0, -1.0)]))
     # the walk from the first axis point (just past it, at a fixed bond) to
     # the second: n >= 2 nodes for q >= 3
     first, last = (m + 1) // 2, (m + q) // 2
@@ -375,9 +367,13 @@ def sturmian_band_spectrum(cf, coupling, level):
 
 def _proxy_spectra(cf, coupling, level):
     """The approximant spectra at ``level`` and ``level + 1`` and the proxy
-    spectrum, their intersection as a band list; an empty one is refused."""
-    spec_a = sturmian_band_spectrum(cf, coupling, level)
-    spec_b = sturmian_band_spectrum(cf, coupling, level + 1)
+    spectrum, their intersection as a band list; an empty one is refused,
+    and either spectrum's NumericError is raised again naming both levels."""
+    try:
+        spec_a = sturmian_band_spectrum(cf, coupling, level)
+        spec_b = sturmian_band_spectrum(cf, coupling, level + 1)
+    except NumericError as err:
+        raise type(err)(f"proxy spectrum (levels {level} and {level + 1}): {err}") from None
     proxy_bands = intersect_intervals(spec_a.bands, spec_b.bands)
     if not proxy_bands:
         raise ResolutionError("proxy spectrum intersection is empty")

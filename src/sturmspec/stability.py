@@ -82,8 +82,6 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     ``seeds`` is a (k, 2) array-like of pairs (u(0), u(1))."""
     if n < 1:
         raise InvalidInputError("period must be >= 1")
-    if not window.covers(1, 2 * n):
-        raise WindowError(f"window must cover [1, {2 * n}]")
     c_bound = float(c_bound)
     energy = np.asarray(energies, dtype=float)
     if energy.ndim != 1 or energy.size == 0:
@@ -94,6 +92,7 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     u0, u1 = seeds.T
     if np.any((u0 == 0) & (u1 == 0)):
         raise InvalidInputError("degenerate zero seed")
+    # slice_values refuses a window that does not cover [1, 2n]
     square_ok = np.array_equal(window.slice_values(1, n), window.slice_values(n + 1, 2 * n))
     block = transfer_product(window, energy[:, None], 1, n)
     tr = block.trace()

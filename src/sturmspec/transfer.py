@@ -116,11 +116,8 @@ def _product_over_values(values, energy):
 
 def transfer_product(window, energy, k, n):
     """M(E, window, k, n): the cocycle over sites k..n inclusive."""
-    if k > n:
-        raise InvalidInputError("k > n")
-    if not window.covers(k, n):
-        raise WindowError(f"window [{window.lo}, {window.hi}] does not cover [{k}, {n}]")
-    # Python floats, so that a float energy keeps Python-float arithmetic
+    # slice_values refuses k > n and a range outside the window; Python
+    # floats, so that a float energy keeps Python-float arithmetic
     return _product_over_values(window.slice_values(k, n).tolist(), energy)
 
 

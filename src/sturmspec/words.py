@@ -183,10 +183,10 @@ def substitute(subst, word):
 def fixed_point_prefix(subst, seed, min_length):
     """Prefix (length >= min_length) of the one-sided fixed point from ``seed``.
 
-    Requires S(seed) to start with seed; iterates S until the prefix is long
-    enough.  Then each S^k(seed) is a prefix of S^(k+1)(seed), so a round
-    that does not grow the word leaves it unchanged for good, and the first
-    such round raises instead of looping forever.
+    Requires S(seed) to start with seed, so S^k(seed) is a prefix of
+    S^(k+1)(seed).  A round substitutes the first ceil(min_length / shortest
+    image) symbols at most, whose images reach min_length; a round that does
+    not grow the word took all of it, which then never grows, and raises.
     """
     if min_length < 1:
         raise InvalidInputError("min_length must be >= 1")
@@ -196,9 +196,10 @@ def fixed_point_prefix(subst, seed, min_length):
         raise NotAFixedPointError(
             f"image of seed symbol {seed} does not start with the seed"
         )
+    enough = -(-min_length // min(len(img) for img in subst.images))
     word = Word(bytes([seed]), subst.alphabet_size)
     while len(word) < min_length:
-        grown = substitute(subst, word)
+        grown = substitute(subst, word[:enough])
         if len(grown) == len(word):
             raise DivergenceError(f"substitution images never grow from seed {seed}")
         word = grown

@@ -655,6 +655,14 @@ class TestRefusedRuns:
             # do not meet
             (["gordon", "--alpha-period", ":1", "--lambda", "5", "--level", "0",
               "--energies", "from-spectrum:0"], 3, "error: proxy spectrum intersection is empty"),
+            # with explicit energies the proxy is K = max(--level, 8), checked
+            # against the CF depth like from-spectrum:K
+            (["gordon", "--alpha-cf", "1,2,1", "--level", "2", "--energies", "0.5"], 2, "K = 8"),
+            (["gordon", "--alpha-cf", "1,2,1", "--level", "2", "--energies", "0.5"],
+             2, "CF depth 3"),
+            # a numeric refusal of a proxy spectrum names the proxy levels
+            (["gordon", "--alpha-period", ":1", "--lambda", "1e-12", "--level", "3",
+              "--energies", "0.1"], 3, "error: proxy spectrum (levels 8 and 9): level 8"),
         ],
     )
     def test_single_error_line_and_exit_code(self, argv, exit_code, needle, capsys):

@@ -68,6 +68,11 @@ class TestPotentialWindow:
         with pytest.raises(WindowError):
             window.value(6)
 
+    def test_value_below_window_refused(self):
+        window = periodic_window(Word.from_text("011"), 1.0, -2, 5)
+        with pytest.raises(WindowError):
+            window.value(window.lo - 1)
+
     def test_length_must_match_range(self):
         with pytest.raises(InvalidInputError):
             PotentialWindow(lo=1, hi=3, values=(1.0, 2.0))

@@ -654,6 +654,12 @@ def test_empty_proxy_refused(golden_cf):
         zero_lyapunov_check(golden_cf, 5.0, 0, 1000)
 
 
+def test_numeric_proxy_refusal_names_the_proxy_levels(golden_cf):
+    # at lambda = 1e-12 the level-8 bands touch within the closed-gap tolerance
+    with pytest.raises(ResolutionError, match=r"^proxy spectrum \(levels 8 and 9\): level 8,"):
+        zero_lyapunov_check(golden_cf, 1e-12, 8, 1000)
+
+
 class TestZeroLyapunov:
     def test_separation_at_modest_scale(self, golden_cf):
         report = zero_lyapunov_check(golden_cf, 1.0, 5, 5000)

@@ -126,6 +126,12 @@ class TestGordonMembership:
         with pytest.raises(WindowError):
             gordon_certificate(window, 3, 2.0, [0.0], [(0.0, 1.0)])
 
+    def test_window_of_the_first_block_only(self):
+        # covers [1, n] and nothing of [n + 1, 2n]
+        window = periodic_window(Word.from_text("011"), 1.0, 1, 3)
+        with pytest.raises(WindowError):
+            gordon_certificate(window, 3, 2.0, [0.0], [(0.0, 1.0)])
+
     @pytest.mark.parametrize(
         "n, energies, seeds, needle",
         [

@@ -88,6 +88,11 @@ class TestTransferProduct:
         with pytest.raises(WindowError):
             transfer_product(window, 0.0, 1, 3)
 
+    def test_empty_range_refused(self):
+        window = window_from_word(Word.from_text("10"), 1.0)
+        with pytest.raises(InvalidInputError):
+            transfer_product(window, 0.0, 2, 1)
+
     def test_cocycle_split_law(self, golden_cf):
         word = c_alpha_prefix(golden_cf, 2000)
         window = window_from_word(word, 1.0)

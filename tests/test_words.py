@@ -93,6 +93,22 @@ class TestFixedPoint:
         with pytest.raises(NotAFixedPointError):
             fixed_point_prefix(FIB, 1, 5)  # b -> a does not start with b
 
+    def test_last_round_substitutes_only_what_reaches_the_length(self):
+        # the first 2 500 001 symbols of S^22(a) have images of 5 000 002
+        # symbols; the whole S^23(a) would have 8 388 608
+        assert len(fixed_point_prefix(TM, 0, 5_000_001)) <= 5_000_002
+
+    @pytest.mark.parametrize("model", sorted(SUBSTITUTION_TABLE))
+    def test_prefix_matches_whole_rounds(self, model):
+        subst, _ = parse_substitution(SUBSTITUTION_TABLE[model])
+        reference = Word(b"\x00", subst.alphabet_size)
+        while len(reference) < 20_000:
+            reference = substitute(subst, reference)
+        for length in (1, 2, 3, 5, 17, 256, 1000, 1025, 4097):
+            prefix = fixed_point_prefix(subst, 0, length)
+            assert len(prefix) >= length
+            assert reference.symbols.startswith(prefix.symbols)
+
     def test_non_growing(self):
         from sturmspec import Substitution
 
