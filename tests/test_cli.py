@@ -1107,10 +1107,17 @@ class TestReportPlumbing:
         assert json.loads(emit_report(report, "json")) == report
 
     def test_deterministic_modulo_walltime(self):
-        argv = ["spectrum", "--alpha-period", ":1", "--levels", "1..3"]
-        a, b = run_report(argv), run_report(argv)
-        a.pop("wall_time_s"), b.pop("wall_time_s")
-        assert a == b
+        # levels 12..13 take the band edges' thread where more than one CPU
+        # is usable; the gordon run draws its seeds and certifies energies
+        for argv in [
+            ["spectrum", "--alpha-period", ":1", "--levels", "1..3"],
+            *BASE_ARGV.values(),
+            ["spectrum", "--alpha-period", ":1", "--levels", "12..13"],
+            ["gordon", "--alpha-period", ":1", "--level", "6", "--energies", "from-spectrum:9"],
+        ]:
+            a, b = run_report(argv), run_report(argv)
+            a.pop("wall_time_s"), b.pop("wall_time_s")
+            assert a == b, argv
 
     def test_one_parser_serves_consecutive_runs(self, capsys):
         assert build_parser() is build_parser()

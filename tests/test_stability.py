@@ -25,7 +25,9 @@ from sturmspec import (
     window_coverage_check,
     window_from_word,
 )
-from sturmspec.errors import InvalidInputError, WindowError
+from sturmspec import stability
+from sturmspec.cli import _draw_seeds
+from sturmspec.errors import InvalidInputError, NumericError, WindowError
 from sturmspec.spectrum import band_samples, intersect_intervals
 from trajectories import iterate_solution
 
@@ -47,10 +49,9 @@ def reference_nondecay(window, n, energy, seeds):
 
 
 def block_reference_residual(window, n, energy, seeds):
-    """max_identity_residual with U(n) = M U(0) and U(2n) = M2 U(0) per seed,
-    M and M2 the products over [1, n] and [1, 2n] at a float energy."""
+    """max_identity_residual with U(n) = M U(0) and U(2n) = M U(n) per seed,
+    M the product over [1, n] at a float energy: on a square M(1, 2n) = M^2."""
     m1 = transfer_product(window, energy, 1, n)
-    m2 = transfer_product(window, energy, 1, 2 * n)
     tr = m1.trace()
 
     def apply(state, u0, u1):
@@ -60,7 +61,7 @@ def block_reference_residual(window, n, energy, seeds):
     max_residual = 0.0
     for u0, u1 in seeds:
         un1, un = apply(m1, u0, u1)
-        u2n1, u2n = apply(m2, u0, u1)
+        u2n1, u2n = apply(m1, un, un1)
         residual = max(abs(u2n1 - tr * un1 + u1), abs(u2n - tr * un + u0))
         max_residual = max(max_residual, residual / max(math.hypot(u1, u0), 1.0))
     return max_residual
@@ -309,6 +310,34 @@ class TestNondecay:
         )
         assert cert.nondecay_ok.tolist() == [True]
 
+    def test_one_transfer_product_per_certificate(
+        self, s4_square_window, proxy_energies, trace_constant, monkeypatch
+    ):
+        # U(2n) = M U(n) on the square: the [1, n] product is the only one,
+        # also at the energies the certificate goes on to check
+        calls = []
+
+        def counted(window, energy, k, n):
+            calls.append((k, n))
+            return transfer_product(window, energy, k, n)
+
+        monkeypatch.setattr(stability, "transfer_product", counted)
+        cert = gordon_certificate(
+            s4_square_window, 5, trace_constant, proxy_energies[:10], [(0.6, -0.8), (1.0, 2.0)]
+        )
+        assert cert.certified.all()
+        assert calls == [(1, 5)]
+
+    def test_non_finite_solution_refused(self):
+        # at E = 0 the block over (-1e100, -1e100, -1e100, 0) has entries
+        # near 1e300 and a trace under the bound, so U(2n) = M U(n) passes
+        # the float range: the energy is refused, with no numpy warning
+        window = PotentialWindow(lo=1, hi=8, values=[-1e100, -1e100, -1e100, 0.0] * 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"not finite at E = 0\.0$"):
+                gordon_certificate(window, 4, 1e300, [0.0], [(0.6, 0.8), (1.0, 0.0)])
+
     def test_memory_does_not_grow_with_the_window(self, golden_cf, proxy_energies):
         s12 = standard_words(golden_cf, 12).word(12)
         window = window_from_word(s12 + s12, 1.0)
@@ -435,6 +464,26 @@ def test_nondecay_accuracy_over_random_continued_fractions(coeffs, coupling, ang
         assert cert.min_ratio[0] == pytest.approx(math.sqrt(squared), rel=1e-6, abs=0)
         floor = 1 / (abs(tr) + 1) - Fraction(1e-9)
         assert cert.nondecay_ok[0] == (squared >= floor * floor)
+
+
+@pytest.mark.parametrize("coupling, level", [(1.0, 12), (5.0, 11), (10.0, 10)])
+def test_min_ratio_matches_exact_products(golden_cf, coupling, level):
+    # the energies and seeds of `gordon --lambda <coupling> --level <level>`,
+    # default from-spectrum:8: 12 certified proxy midpoints, 20 drawn seeds,
+    # against Fraction products over [1, n] and [1, 2n]
+    n = golden_cf.q[level]
+    s_n = standard_words(golden_cf, level).word(level)
+    window = window_from_word(s_n + s_n, coupling)
+    scan = trace_bound_scan(golden_cf, coupling, level_max=8, proxy_level=8)
+    energies = band_samples(scan.proxy_bands, 1)
+    seeds = _draw_seeds(random.Random(0), 20)
+    cert = gordon_certificate(window, n, scan.derived_constant(), energies, seeds)
+    certified = np.flatnonzero(cert.certified)
+    assert certified.size >= 12
+    values = window.slice_values(1, 2 * n)
+    for i in certified[np.linspace(0, certified.size - 1, 12).astype(int)]:
+        squared, _ = exact_min_squared_ratio(values, float(energies[i]), seeds.tolist(), n)
+        assert cert.min_ratio[i] == pytest.approx(math.sqrt(squared), rel=1e-7, abs=0)
 
 
 class TestCubeToSquare:
