@@ -348,24 +348,23 @@ def _task_gordon(args):
     cert = gordon_certificate(
         window, q_n, c_bound, energies, _draw_seeds(random.Random(args.rng_seed), args.seeds)
     )
-    square_ok, lower_bound = cert.square_ok, cert.lower_bound
     # JSON has no Infinity: a trace that overflowed, never certified, is null
     abs_traces = [t if math.isfinite(t) else None for t in cert.abs_trace.tolist()]
     certificates = [
-        {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": True,
-         "min_ratio": ratio, "lower_bound": lower_bound, "nondecay_ok": nondecay_ok}
+        {"energy": energy, "abs_trace": abs_trace, "verdict": True,
+         "min_ratio": ratio, "nondecay_ok": nondecay_ok}
         if certified else
-        {"energy": energy, "square_ok": square_ok, "abs_trace": abs_trace, "verdict": False}
+        {"energy": energy, "abs_trace": abs_trace, "verdict": False}
         for energy, abs_trace, certified, ratio, nondecay_ok in zip(
             cert.energy.tolist(), abs_traces, cert.certified.tolist(),
             cert.min_ratio.tolist(), cert.nondecay_ok.tolist(),
         )
     ]
     return {
-        "level": level,
         "q_n": q_n,
         "derived_constant": constant,
-        "seeds": args.seeds,
+        "square_ok": cert.square_ok,
+        "lower_bound": cert.lower_bound,
         "certificates": certificates,
     }
 

@@ -30,12 +30,10 @@ class GordonCertificate:
     An energy is ``certified`` when the first 2n sites form a square and
     |tr M(E, 1, n)| <= c_bound there.  At a certified energy every seed must
     keep r = max(||U(n)||, ||U(2n)||) / ||U(0)|| above ``lower_bound`` =
-    1/(c_bound + 1): ``min_ratio`` is the worst r over the seeds and
-    ``max_identity_residual`` the worst float residual of the two-block
-    identity.  These fields and ``nondecay_ok`` are 1-d arrays aligned with
-    ``energy``; the non-decay fields are NaN (``nondecay_ok`` False) wherever
-    the energy is not certified.  ``verdict`` is one bool: the square holds
-    and every energy is certified.
+    1/(c_bound + 1): ``min_ratio`` is the worst r over the seeds.  It and
+    ``nondecay_ok`` are 1-d arrays aligned with ``energy``; they are NaN
+    (``nondecay_ok`` False) wherever the energy is not certified.
+    ``verdict`` is one bool: the square holds and every energy is certified.
     """
 
     lower_bound: float
@@ -44,7 +42,6 @@ class GordonCertificate:
     abs_trace: np.ndarray
     certified: np.ndarray
     min_ratio: np.ndarray
-    max_identity_residual: np.ndarray
     nondecay_ok: np.ndarray
     verdict: bool
 
@@ -57,18 +54,13 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     U(n) = M U(0) and U(2n) = M U(n) with no second pass over the sites; if
     either is not finite, ``NumericError`` names the energy.
 
-    Each seed is scaled by the exact power of two 2**-e that puts its norm
-    in [0.5, 1), so no seed's size can overflow or underflow the squared
-    norms.  The squared norms of U(n) and U(2n) are compared directly,
-    divided by the seed's, and one square root per energy is taken after
-    the minimum over the seeds.  Scaling by a power of two is exact while no
-    scaled component falls below the normal range, so the identity residual,
-    scaled back by 2**e, has the bits it would have without the scaling; it
-    reads how well the float block meets Cayley-Hamilton, M^2 - tr(M) M + I
-    = 0: about 1e-14 on moderate blocks, of order one at ||M|| near 1e200.
-    The squares overflow only where ||U(n)|| or ||U(2n)|| passes about
-    1e154 times the seed's norm; such a seed's square reads inf, which the
-    minimum over the seeds passes over, and an energy where every seed's
+    Each seed is divided by its norm, so no seed's size can overflow or
+    underflow the squared norms; a seed whose norm is zero or not a finite
+    float is refused.  The squared norms of U(n) and U(2n) are compared
+    directly, and one square root per energy is taken after the minimum over
+    the seeds.  The squares overflow only where ||U(n)|| or ||U(2n)|| passes
+    about 1e154 times the seed's norm; such a seed's square reads inf, which
+    the minimum over the seeds passes over, and an energy where every seed's
     square overflowed takes its ratio from ``hypot`` norms instead.
     ``seeds`` is a (k, 2) array-like of pairs (u(0), u(1))."""
     if n < 1:
@@ -81,24 +73,23 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
     if seeds.size == 0:
         raise InvalidInputError("need at least one seed")
     u0, u1 = seeds.T
-    if np.any((u0 == 0) & (u1 == 0)):
-        raise InvalidInputError("degenerate zero seed")
+    with np.errstate(over="ignore"):
+        norm0 = np.hypot(u1, u0)
+    refused = np.flatnonzero(~((norm0 > 0) & (norm0 < np.inf)))  # NaN fails both
+    if refused.size:
+        i = refused[0]
+        kind = "degenerate zero seed" if norm0[i] == 0 else "seed without a finite norm"
+        raise InvalidInputError(f"{kind} (u(0), u(1)) = ({u0[i].item()!r}, {u1[i].item()!r})")
     # slice_values refuses a window that does not cover [1, 2n]
     square_ok = np.array_equal(window.slice_values(1, n), window.slice_values(n + 1, 2 * n))
     block = transfer_product(window, energy[:, None], 1, n)
-    tr = block.trace()
-    abs_trace = abs(tr).reshape(-1)
+    abs_trace = abs(block.trace()).reshape(-1)
     certified = square_ok & (abs_trace <= c_bound)
     lower_bound = 1.0 / (c_bound + 1.0)
     min_ratio = np.full(energy.shape, np.nan)
-    max_residual = np.full(energy.shape, np.nan)
     if certified.any():
-        norm0 = np.hypot(u1, u0)
-        e = np.frexp(norm0)[1]
-        v0, v1 = np.ldexp(u0, -e), np.ldexp(u1, -e)
-        # the block's rows at the certified energies, taken before the scaling
+        v0, v1 = u0 / norm0, u1 / norm0
         m = np.stack(np.broadcast_arrays(*block.m, block.log_scale))[:, certified]
-        tr = tr[certified]
         with np.errstate(over="ignore", invalid="ignore"):
             a, b, c, d = m[:4] * np.exp(m[4])
             # on the square M(1, 2n) = M(1, n)^2: U(n) = M U(0), U(2n) = M U(n)
@@ -108,18 +99,13 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
             if bad.size:
                 raise NumericError(f"U(n) or U(2n) is not finite at E = {bad[0].item()!r}")
             squares = np.maximum(un1 * un1 + un * un, u2n1 * u2n1 + u2n * u2n)
-            squares /= v0 * v0 + v1 * v1
         ratio = np.sqrt(squares.min(axis=-1))
         # an energy whose every seed's square overflowed: its norms by hypot
         over = np.isinf(ratio)
         if over.any():
             norms = np.maximum(np.hypot(un1[over], un[over]), np.hypot(u2n1[over], u2n[over]))
-            ratio[over] = (norms / np.hypot(v0, v1)).min(axis=-1)
+            ratio[over] = norms.min(axis=-1)
         min_ratio[certified] = ratio
-        # two-block identity residual, component-wise
-        residuals = np.maximum(abs(u2n1 - tr * un1 + v1), abs(u2n - tr * un + v0))
-        residuals = np.ldexp(residuals, e) / np.maximum(norm0, 1.0)
-        max_residual[certified] = residuals.max(axis=-1)
     return GordonCertificate(
         lower_bound=lower_bound,
         square_ok=square_ok,
@@ -127,7 +113,6 @@ def gordon_certificate(window, n, c_bound, energies, seeds):
         abs_trace=abs_trace,
         certified=certified,
         min_ratio=min_ratio,
-        max_identity_residual=max_residual,
         nondecay_ok=min_ratio >= lower_bound - 1e-9,
         verdict=bool(certified.all()),
     )

@@ -251,7 +251,7 @@ class TestLyapunovTask:
 def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
     """The certificates of a golden-mean ``gordon`` report, rebuilt with one
     certificate call per energy."""
-    level, q_n = report["level"], report["q_n"]
+    level, q_n = report["config"]["level"], report["q_n"]
     c_bound = report["derived_constant"]["value"]
     s_n = standard_words(convergents(periodic_coefficients([], [1], 40)), level).word(level)
     window = window_from_word(s_n + s_n, coupling)
@@ -266,16 +266,15 @@ def reference_gordon_certificates(report, coupling, seed_count, rng_seed):
     for row in report["certificates"]:
         energy = row["energy"]
         cert = gordon_certificate(window, q_n, c_bound, [energy], seeds)
+        assert (cert.square_ok, cert.lower_bound) == (report["square_ok"], report["lower_bound"])
         entry = {
             "energy": energy,
-            "square_ok": cert.square_ok,
             "abs_trace": float(cert.abs_trace[0]),
             "verdict": cert.verdict,
         }
         if cert.verdict:
             entry.update(
-                {"min_ratio": float(cert.min_ratio[0]), "lower_bound": cert.lower_bound,
-                 "nondecay_ok": bool(cert.nondecay_ok[0])}
+                {"min_ratio": float(cert.min_ratio[0]), "nondecay_ok": bool(cert.nondecay_ok[0])}
             )
         certificates.append(entry)
     return certificates
@@ -364,10 +363,16 @@ class TestGordonTask:
                 "10",
             ]
         )
-        assert {"config", "certificates", "derived_constant"} <= set(report)
+        fields = {"config", "certificates", "derived_constant", "square_ok", "lower_bound"}
+        assert fields <= set(report)
+        # the level and seed count are stated once, in the config echo
+        assert not {"level", "seeds"} & set(report)
+        assert report["config"]["level"] == 4 and report["config"]["seeds"] == 10
         assert report["derived_constant"]["value"] > report["derived_constant"]["sampled_sup"]
+        assert report["square_ok"] is True
+        assert report["lower_bound"] == 1.0 / (report["derived_constant"]["value"] + 1.0)
         for cert in report["certificates"]:
-            assert cert["square_ok"]
+            assert set(cert) == {"energy", "abs_trace", "verdict", "min_ratio", "nondecay_ok"}
             assert cert["verdict"]
             assert cert["nondecay_ok"]
 

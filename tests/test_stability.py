@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -20,6 +21,7 @@ from sturmspec import (
     stability_measure_bound,
     standard_words,
     sturmian_band_spectrum,
+    sturmian_traces,
     trace_bound_scan,
     transfer_product,
     window_coverage_check,
@@ -33,38 +35,14 @@ from trajectories import iterate_solution
 
 
 def reference_nondecay(window, n, energy, seeds):
-    """(min_ratio, max_identity_residual) from one trajectory per seed."""
-    tr = transfer_product(window, energy, 1, n).trace()
-    min_ratio, max_residual = math.inf, 0.0
+    """min_ratio from one trajectory per seed."""
+    min_ratio = math.inf
     for seed in seeds:
         u = iterate_solution(window, energy, seed, n_max=2 * n).u
         u0 = math.hypot(u[1], u[0])
         ratio = max(math.hypot(u[n + 1], u[n]), math.hypot(u[2 * n + 1], u[2 * n])) / u0
         min_ratio = min(min_ratio, ratio)
-        residual = max(
-            abs(u[2 * n + 1] - tr * u[n + 1] + u[1]), abs(u[2 * n] - tr * u[n] + u[0])
-        )
-        max_residual = max(max_residual, residual / max(u0, 1.0))
-    return min_ratio, max_residual
-
-
-def block_reference_residual(window, n, energy, seeds):
-    """max_identity_residual with U(n) = M U(0) and U(2n) = M U(n) per seed,
-    M the product over [1, n] at a float energy: on a square M(1, 2n) = M^2."""
-    m1 = transfer_product(window, energy, 1, n)
-    tr = m1.trace()
-
-    def apply(state, u0, u1):
-        a, b, c, d = (x * np.exp(state.log_scale) for x in state.m)
-        return a * u1 + b * u0, c * u1 + d * u0
-
-    max_residual = 0.0
-    for u0, u1 in seeds:
-        un1, un = apply(m1, u0, u1)
-        u2n1, u2n = apply(m1, un, un1)
-        residual = max(abs(u2n1 - tr * un1 + u1), abs(u2n - tr * un + u0))
-        max_residual = max(max_residual, residual / max(math.hypot(u1, u0), 1.0))
-    return max_residual
+    return min_ratio
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +64,7 @@ def s4_square_window(golden_cf):
 
 def assert_not_certified(cert, i):
     assert not cert.certified[i]
-    assert math.isnan(cert.min_ratio[i]) and math.isnan(cert.max_identity_residual[i])
+    assert math.isnan(cert.min_ratio[i])
     assert not cert.nondecay_ok[i]
 
 
@@ -164,10 +142,13 @@ class TestNondecay:
         for _ in range(100):
             angle = rng.uniform(0, 2 * math.pi)
             seeds.append((math.cos(angle), math.sin(angle)))
-        cert = gordon_certificate(s4_square_window, 5, trace_constant, proxy_energies[:10], seeds)
+        energies = proxy_energies[:10]
+        cert = gordon_certificate(s4_square_window, 5, trace_constant, energies, seeds)
         assert cert.certified.all()
         assert cert.nondecay_ok.all()
-        assert np.all(cert.max_identity_residual < 1e-9)
+        # the block meets Cayley-Hamilton, M^2 - tr(M) M + I = 0, as far as det M = 1
+        for energy in energies:
+            assert abs(transfer_product(s4_square_window, energy, 1, 5).det_residual()) < 1e-9
 
     def test_most_contracted_direction(
         self, s4_square_window, proxy_energies, trace_constant
@@ -195,10 +176,8 @@ class TestNondecay:
             seeds.append((radius * math.cos(angle), radius * math.sin(angle)))
         for energy in proxy_energies[:10]:
             cert = gordon_certificate(s4_square_window, 5, trace_constant, [energy], seeds)
-            min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
-            max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
+            min_ratio = reference_nondecay(s4_square_window, 5, energy, seeds)
             assert cert.min_ratio[0] == pytest.approx(min_ratio, rel=1e-12, abs=0)
-            assert cert.max_identity_residual[0] == pytest.approx(max_residual, rel=1e-12, abs=0)
 
     def test_energy_array_matches_float_calls(
         self, s4_square_window, proxy_energies, trace_constant
@@ -208,19 +187,16 @@ class TestNondecay:
         seeds = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(40)]
         energies = np.array(proxy_energies[:12])
         batch = gordon_certificate(s4_square_window, 5, trace_constant, energies, seeds)
-        assert batch.min_ratio.shape == batch.max_identity_residual.shape == (12,)
+        assert batch.min_ratio.shape == (12,)
         for i, energy in enumerate(energies.tolist()):
             single = gordon_certificate(s4_square_window, 5, trace_constant, [energy], seeds)
             assert batch.energy[i] == single.energy[0]
             assert batch.abs_trace[i] == single.abs_trace[0]
             assert batch.min_ratio[i] == single.min_ratio[0]
-            assert batch.max_identity_residual[i] == single.max_identity_residual[0]
             assert batch.nondecay_ok[i] == single.nondecay_ok[0]
             assert batch.lower_bound == single.lower_bound
-            min_ratio, _ = reference_nondecay(s4_square_window, 5, energy, seeds)
+            min_ratio = reference_nondecay(s4_square_window, 5, energy, seeds)
             assert batch.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
-            max_residual = block_reference_residual(s4_square_window, 5, energy, seeds)
-            assert batch.max_identity_residual[i] == pytest.approx(max_residual, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "scale",
@@ -230,9 +206,9 @@ class TestNondecay:
     def test_seed_scale_leaves_the_ratios(
         self, s4_square_window, proxy_energies, trace_constant, scale
     ):
-        # each seed is scaled by a power of two before the squared norms are
-        # taken: seeds near the float limits, a subnormal one included, give
-        # the ratios of unit seeds without an overflow or underflow warning
+        # each seed is divided by its norm before the squared norms are taken:
+        # seeds near the float limits, a subnormal one included, give the
+        # ratios of unit seeds without an overflow or underflow warning
         rng = random.Random(37)
         angles = [rng.uniform(0, 2 * math.pi) for _ in range(30)]
         seeds = [(math.cos(a), math.sin(a)) for a in angles]
@@ -256,7 +232,7 @@ class TestNondecay:
         cert = gordon_certificate(window, 1, 2.0, energies, seeds)
         assert cert.certified.tolist() == [True, True, True, False]
         for i, energy in enumerate(energies[:3]):
-            min_ratio, _ = reference_nondecay(window, 1, energy, seeds)
+            min_ratio = reference_nondecay(window, 1, energy, seeds)
             assert cert.min_ratio[i] == pytest.approx(min_ratio, rel=1e-12, abs=0)
             assert cert.nondecay_ok[i]
         assert_not_certified(cert, 3)
@@ -306,7 +282,7 @@ class TestNondecay:
         assert 1e199 < expected < 1e201
         assert cert.min_ratio.tolist() == [expected]
         assert cert.min_ratio[0] == pytest.approx(
-            reference_nondecay(window, 2, 0.0, seeds)[0], rel=1e-12, abs=0
+            reference_nondecay(window, 2, 0.0, seeds), rel=1e-12, abs=0
         )
         assert cert.nondecay_ok.tolist() == [True]
 
@@ -373,7 +349,7 @@ class TestNondecay:
     def test_fields_are_arrays_and_verdict_is_bool(self, s4_square_window, trace_constant):
         cert = gordon_certificate(s4_square_window, 5, trace_constant, [0.3, 0.5], [(0.0, 1.0)])
         for value in (cert.energy, cert.abs_trace, cert.certified, cert.min_ratio,
-                      cert.max_identity_residual, cert.nondecay_ok):
+                      cert.nondecay_ok):
             assert value.shape == (2,)
         assert type(cert.lower_bound) is float
         assert type(cert.verdict) is bool and type(cert.square_ok) is bool
@@ -404,6 +380,52 @@ class TestNondecay:
         window = periodic_window(Word.from_text("01"), 1.0, 1, 4)
         with pytest.raises(InvalidInputError, match="zero seed"):
             gordon_certificate(window, 2, 2.0, [0.0], [(1.0, 0.0), (0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "seeds, named",
+        [
+            ([(math.nan, 1.0), (1.0, 0.0)], "(nan, 1.0)"),
+            ([(math.inf, 1.0)], "(inf, 1.0)"),
+            # finite components whose norm overflows
+            ([(1.7e308, 1.7e308)], "(1.7e+308, 1.7e+308)"),
+        ],
+        ids=["nan", "inf", "norm-overflows"],
+    )
+    def test_seed_without_a_finite_norm_refused(self, s4_square_window, monkeypatch, seeds, named):
+        # refused as input, naming the seed, before any product is taken
+        def no_product(*args):
+            raise AssertionError("transfer product taken before the seed check")
+
+        monkeypatch.setattr(stability, "transfer_product", no_product)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"finite norm.*{re.escape(named)}"):
+                gordon_certificate(s4_square_window, 5, 3.0, [0.5, 1.0], seeds)
+
+
+@pytest.mark.parametrize("coupling", [0.3, 1.0, 3.0, 5.0, 10.0])
+def test_block_trace_matches_the_trace_map(golden_cf, coupling):
+    # the certificate's |tr M(E, 1, q_n)| from the site product against t_n
+    # from the scalar trace map, at the default proxy-8 band midpoints of
+    # golden levels 8..15: finite at the same energies, one tolerance for
+    # every coupling, and certified exactly where |t_n| <= C
+    scan = trace_bound_scan(golden_cf, coupling, level_max=8, proxy_level=8)
+    energies = band_samples(scan.proxy_bands, 1)
+    c_bound = scan.derived_constant()
+    tower = standard_words(golden_cf, 15)
+    for level in range(8, 16):
+        s_n = tower.word(level)
+        cert = gordon_certificate(
+            window_from_word(s_n + s_n, coupling), golden_cf.q[level], c_bound, energies,
+            [(0.6, 0.8)],
+        )
+        t_n = abs(sturmian_traces(golden_cf, coupling, energies, level)[-1])
+        finite = np.isfinite(t_n)
+        assert np.array_equal(np.isfinite(cert.abs_trace), finite)
+        assert np.all(
+            abs(cert.abs_trace[finite] - t_n[finite]) <= 1e-5 * np.maximum(1.0, t_n[finite])
+        )
+        assert np.array_equal(cert.certified, t_n <= c_bound)
 
 
 def exact_min_squared_ratio(values, energy, seeds, n):
